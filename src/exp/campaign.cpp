@@ -12,7 +12,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 
 #include "api/registry.hpp"
 #include "ckpt/registry.hpp"
@@ -122,71 +121,6 @@ std::vector<int> parse_int_array(const util::json::Value& v) {
 
 std::string json_int_array(const std::vector<int>& xs) {
     return "[" + join_ints(xs) + "]";
-}
-
-/// Replays records for the given jobs through run_sweep's exact reduction:
-/// per-job DfbTable filled in trial order, merged into the overall and
-/// by-key tables in job order.  `source` labels error messages.
-void replay_records(SweepResult& result, const SweepConfig& cfg,
-                    const std::vector<GridJob>& jobs,
-                    const std::vector<InstanceRecord>& records,
-                    const std::string& source) {
-    const std::size_t num_heuristics = result.heuristics.size();
-    const int trials = cfg.trials_per_scenario;
-
-    std::unordered_map<std::uint64_t, std::vector<const InstanceRecord*>>
-        by_ordinal;
-    by_ordinal.reserve(records.size());
-    for (const auto& rec : records)
-        by_ordinal[rec.scenario_ordinal].push_back(&rec);
-
-    std::size_t consumed = 0;
-    for (const GridJob& job : jobs) {
-        auto it = by_ordinal.find(job.ordinal);
-        if (it == by_ordinal.end() ||
-            it->second.size() != static_cast<std::size_t>(trials))
-            fail(source + ": scenario ordinal " + std::to_string(job.ordinal) +
-                 " has " +
-                 std::to_string(it == by_ordinal.end() ? 0
-                                                       : it->second.size()) +
-                 " records, expected " + std::to_string(trials) +
-                 " trials (incomplete, duplicated, or missing shard?)");
-        auto& trial_records = it->second;
-        std::sort(trial_records.begin(), trial_records.end(),
-                  [](const InstanceRecord* a, const InstanceRecord* b) {
-                      return a->trial < b->trial;
-                  });
-        DfbTable local(num_heuristics);
-        for (int t = 0; t < trials; ++t) {
-            const InstanceRecord& rec = *trial_records[static_cast<std::size_t>(t)];
-            if (rec.trial != t)
-                fail(source + ": ordinal " + std::to_string(job.ordinal) +
-                     " has duplicate or missing trial " + std::to_string(t));
-            if (rec.scenario.seed != job.scenario.seed)
-                fail(source + ": ordinal " + std::to_string(job.ordinal) +
-                     " carries seed " + std::to_string(rec.scenario.seed) +
-                     " but the grid expects " +
-                     std::to_string(job.scenario.seed) +
-                     " (records from a different campaign?)");
-            if (rec.scenario.checkpoint != job.scenario.checkpoint)
-                fail(source + ": ordinal " + std::to_string(job.ordinal) +
-                     " carries checkpoint policy '" +
-                     rec.scenario.checkpoint + "' but the grid expects '" +
-                     job.scenario.checkpoint + "'");
-            if (rec.makespans.size() != num_heuristics)
-                fail(source + ": ordinal " + std::to_string(job.ordinal) +
-                     " has " + std::to_string(rec.makespans.size()) +
-                     " makespans, expected " +
-                     std::to_string(num_heuristics));
-            local.add_instance(rec.makespans);
-        }
-        consumed += static_cast<std::size_t>(trials);
-        merge_job_tables(result, job.scenario, local);
-    }
-    if (consumed != records.size())
-        fail(source + ": " + std::to_string(records.size() - consumed) +
-             " records do not belong to the expected grid (duplicate shard "
-             "or foreign file?)");
 }
 
 /// Streams one shard's records straight off its JSONL file, one line at a
@@ -994,14 +928,6 @@ read_shard_records(const std::filesystem::path& jsonl_file) {
         }
     }
     return {std::move(header), std::move(records)};
-}
-
-SweepResult aggregate_records(const SweepConfig& cfg,
-                              const std::vector<std::string>& heuristics,
-                              const std::vector<InstanceRecord>& records) {
-    SweepResult result(heuristics);
-    replay_records(result, cfg, grid_jobs(cfg), records, "aggregate");
-    return result;
 }
 
 SweepResult

@@ -188,14 +188,6 @@ struct ParallelCampaignResult {
 /// failure (by shard index) is rethrown after all drivers stop.
 ParallelCampaignResult run_parallel_campaign(const CampaignConfig& base);
 
-/// Canonical aggregation: validates that `records` is exactly the full
-/// grid's instance set (no missing, duplicate, or foreign records; seeds
-/// and makespan arities cross-checked) and replays it through run_sweep's
-/// reduction.  The result is bit-identical to run_sweep(cfg, heuristics).
-SweepResult aggregate_records(const SweepConfig& cfg,
-                              const std::vector<std::string>& heuristics,
-                              const std::vector<InstanceRecord>& records);
-
 /// Reads shard JSONL files (headers must agree on the fingerprint) and
 /// aggregates them canonically via a streaming k-way merge: shard files are
 /// already emitted in (ordinal, trial) order and the round-robin planner

@@ -37,7 +37,7 @@ void RealizedTrace::ensure(long long horizon) {
         segments_.push_back({s, 0, 1});
         realized_ = 1;
     }
-    while (realized_ < horizon) {
+    const auto sample_slot = [this] {
         Segment& last = segments_.back();
         const ProcState s = model_->next_state(last.state, rng_);
         if (s == last.state)
@@ -45,7 +45,25 @@ void RealizedTrace::ensure(long long horizon) {
         else
             segments_.push_back({s, realized_, realized_ + 1});
         ++realized_;
+    };
+    // Run-length path: skip each provable run in one call, then sample the
+    // slot that may change state.  A model that declines (kNoRuns) is asked
+    // once per trace and sampled per slot from then on.
+    while (runs_ && realized_ < horizon) {
+        const long long n = model_->advance_run(segments_.back().state,
+                                                horizon - realized_);
+        if (n == AvailabilityModel::kNoRuns) {
+            runs_ = false;
+            break;
+        }
+        if (n < 0 || n > horizon - realized_)
+            throw std::logic_error(
+                "AvailabilityModel::advance_run: run outside [0, max_slots]");
+        segments_.back().end += n;
+        realized_ += n;
+        if (realized_ < horizon) sample_slot();
     }
+    while (realized_ < horizon) sample_slot();
 }
 
 ProcState RealizedTrace::state_at(long long t) {

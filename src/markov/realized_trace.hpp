@@ -11,12 +11,15 @@
 /// Determinism contract: a realization is a pure function of the master
 /// seed (stream = mix_seed(seed, kAvailabilityStream, processor)) and the
 /// availability models — never of the heuristic, the thread, the shard, or
-/// of *how* the trace is queried.  RNG consumption matches the engine's
-/// historical per-slot sampling exactly (one initial_state draw, then one
-/// next_state draw per slot, per processor, on a dedicated stream), so
-/// realizations are bit-identical to the pre-trace engine by construction.
-/// Lazy chunked growth only changes *when* slots are sampled, not their
-/// values: slot t depends on draws 0..t of the processor's private stream.
+/// of *how* the trace is queried.  RNG draws match the engine's historical
+/// per-slot sampling exactly (initial_state, then next_state for each slot,
+/// per processor, on a dedicated stream), so realizations are bit-identical
+/// to the pre-trace engine by construction.  The invariant is the draws,
+/// not the calls: where the model offers AvailabilityModel::advance_run, a
+/// run of slots that draws nothing is taken in one call instead of one
+/// next_state call per slot.  Lazy chunked growth only changes *when* slots
+/// are sampled, not their values: slot t depends only on the draws made
+/// for slots 0..t of the processor's private stream.
 ///
 /// The run-length encoding additionally answers "when does this processor
 /// next change state?" in O(1), which the engine uses to fast-forward dead
@@ -84,6 +87,7 @@ private:
     util::Rng rng_;
     std::vector<Segment> segments_;
     long long realized_ = 0;
+    bool runs_ = true; // false once the model declines advance_run
 };
 
 /// O(1)-amortized forward iteration over one RealizedTrace.  Each engine

@@ -36,7 +36,9 @@ void TraceRecorder::begin_run(int procs) {
     open_.assign(static_cast<std::size_t>(1 + 4 * procs), OpenSpan{});
     thread_name(0, "engine");
     for (int q = 0; q < procs; ++q) {
-        const std::string p = "p" + std::to_string(q) + " ";
+        std::string p = "p";
+        p += std::to_string(q);
+        p += ' ';
         thread_name(tid_of(q, kLaneAvail), p + "avail");
         thread_name(tid_of(q, kLaneTransfer), p + "xfer");
         thread_name(tid_of(q, kLaneCompute), p + "compute");

@@ -76,6 +76,19 @@ ProcState ReplayAvailability::next_state(ProcState, util::Rng&) {
     return trace_.states[cursor_];
 }
 
+long long ReplayAvailability::advance_run(ProcState, long long max_slots) {
+    const auto& states = trace_.states;
+    const std::size_t last = states.size() - 1;
+    long long n = 0;
+    while (n < max_slots && cursor_ < last &&
+           states[cursor_ + 1] == states[cursor_]) {
+        ++cursor_;
+        ++n;
+    }
+    if (cursor_ == last && policy_ == EndPolicy::HoldLast) return max_slots;
+    return n;
+}
+
 std::unique_ptr<markov::AvailabilityModel> ReplayAvailability::clone() const {
     return std::make_unique<ReplayAvailability>(trace_, policy_);
 }

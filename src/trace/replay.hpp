@@ -1,7 +1,7 @@
 #pragma once
 /// \file replay.hpp
 /// Recorded availability traces: capture, (de)serialization, and an
-/// AvailabilityModel that replays a trace slot by slot.  This is the code
+/// AvailabilityModel that replays a trace run by run.  This is the code
 /// path one would use with Failure Trace Archive data (the paper's stated
 /// empirical next step); here traces come from our own generators.
 
@@ -42,6 +42,11 @@ public:
     markov::ProcState initial_state(util::Rng& rng) override;
     markov::ProcState next_state(markov::ProcState current,
                                  util::Rng& rng) override;
+    /// Skips the recorded run of the current state, capped at `max_slots`.
+    /// `Loop` stops at the wrap; `HoldLast` at or past the end holds for
+    /// all `max_slots`.
+    long long advance_run(markov::ProcState current,
+                          long long max_slots) override;
     [[nodiscard]] std::unique_ptr<markov::AvailabilityModel> clone() const override;
 
 private:

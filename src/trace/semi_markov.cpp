@@ -1,5 +1,6 @@
 #include "trace/semi_markov.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -53,6 +54,12 @@ ProcState SemiMarkovAvailability::next_state(ProcState current,
     else next = ProcState::Down;
     remaining_ = params_.sojourn[static_cast<int>(next)].sample_slots(rng);
     return next;
+}
+
+long long SemiMarkovAvailability::advance_run(ProcState, long long max_slots) {
+    const long long n = std::min(remaining_ - 1, max_slots);
+    remaining_ -= n;
+    return n;
 }
 
 std::unique_ptr<markov::AvailabilityModel> SemiMarkovAvailability::clone() const {

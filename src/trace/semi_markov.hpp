@@ -54,6 +54,9 @@ public:
     markov::ProcState initial_state(util::Rng& rng) override;
     markov::ProcState next_state(markov::ProcState current,
                                  util::Rng& rng) override;
+    /// The rest of the current sojourn, capped: min(remaining - 1, max).
+    long long advance_run(markov::ProcState current,
+                          long long max_slots) override;
     [[nodiscard]] std::unique_ptr<markov::AvailabilityModel> clone() const override;
 
     [[nodiscard]] const SemiMarkovParams& params() const noexcept { return params_; }

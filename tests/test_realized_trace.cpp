@@ -3,13 +3,17 @@
 /// per-slot model sampling for every AvailabilityModel — Markov (both
 /// InitialState modes), recorded-trace replay (both end policies), and
 /// semi-Markov — and that realizations are a pure function of the seed, not
-/// of how (or how often) the trace is queried.
+/// of how (or how often) the trace is queried.  Run-length realization
+/// (AvailabilityModel::advance_run) must keep both properties while calling
+/// a semi-Markov model once or twice per segment instead of once per slot.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "api/simulation_builder.hpp"
@@ -85,7 +89,75 @@ all_model_kinds() {
     models.emplace_back("semi-markov/lognormal",
                         std::make_unique<vtr::SemiMarkovAvailability>(
                             vtr::desktop_grid_params_lognormal(25.0)));
+    // Sojourns far longer than the 64-slot minimum chunk, so runs span
+    // many ensure() chunk boundaries.
+    models.emplace_back("semi-markov/weibull-long",
+                        std::make_unique<vtr::SemiMarkovAvailability>(
+                            vtr::desktop_grid_params(600.0)));
+    models.emplace_back("semi-markov/lognormal-long",
+                        std::make_unique<vtr::SemiMarkovAvailability>(
+                            vtr::desktop_grid_params_lognormal(400.0)));
+
+    // Replays with long recorded runs, so advance_run skips many slots.
+    const auto long_runs = vtr::record(
+        vtr::SemiMarkovAvailability(vtr::desktop_grid_params(60.0)), 1500,
+        record_rng);
+    models.emplace_back("replay/loop-long-runs",
+                        std::make_unique<vtr::ReplayAvailability>(
+                            long_runs, vtr::ReplayAvailability::EndPolicy::Loop));
+    models.emplace_back(
+        "replay/hold-last-long-runs",
+        std::make_unique<vtr::ReplayAvailability>(
+            long_runs, vtr::ReplayAvailability::EndPolicy::HoldLast));
     return models;
+}
+
+/// Counts every virtual call, forwarding each one (advance_run included)
+/// to the wrapped model; clones share the counters.
+class CountingModel final : public vm::AvailabilityModel {
+public:
+    struct Counts {
+        long long initial = 0;
+        long long next = 0;
+        long long runs = 0;
+
+        [[nodiscard]] long long total() const { return initial + next + runs; }
+    };
+
+    CountingModel(std::unique_ptr<vm::AvailabilityModel> inner,
+                  std::shared_ptr<Counts> counts)
+        : inner_(std::move(inner)), counts_(std::move(counts)) {}
+
+    vm::ProcState initial_state(vu::Rng& rng) override {
+        ++counts_->initial;
+        return inner_->initial_state(rng);
+    }
+    vm::ProcState next_state(vm::ProcState current, vu::Rng& rng) override {
+        ++counts_->next;
+        return inner_->next_state(current, rng);
+    }
+    long long advance_run(vm::ProcState current, long long max_slots) override {
+        ++counts_->runs;
+        return inner_->advance_run(current, max_slots);
+    }
+    [[nodiscard]] std::unique_ptr<vm::AvailabilityModel> clone() const override {
+        return std::make_unique<CountingModel>(inner_->clone(), counts_);
+    }
+
+private:
+    std::unique_ptr<vm::AvailabilityModel> inner_;
+    std::shared_ptr<Counts> counts_;
+};
+
+/// The RLE segments covering slots [0, slots), as (state, begin, end).
+std::vector<std::tuple<vm::ProcState, long long, long long>>
+segments_below(const vm::RealizedTrace& trace, long long slots) {
+    std::vector<std::tuple<vm::ProcState, long long, long long>> out;
+    for (const auto& seg : trace.segments()) {
+        if (seg.begin >= slots) break;
+        out.emplace_back(seg.state, seg.begin, std::min(seg.end, slots));
+    }
+    return out;
 }
 
 /// Structural RLE invariants: contiguous coverage from slot 0, non-empty
@@ -323,4 +395,116 @@ TEST(RealizedTrace, TraceCacheOffReplaysIdentically) {
         EXPECT_EQ(m1.iteration_ends, m2.iteration_ends) << name;
         EXPECT_EQ(m2.makespan, m3.makespan) << name;
     }
+}
+
+TEST(RealizedTrace, RealizationIsUnchangedAcrossChunkBoundaries) {
+    // Runs cut by every kind of growth boundary must land exactly where one
+    // eager ensure() puts them: odd-sized ensure() steps, and
+    // next_change_at() frontier growth with a limit only a few slots ahead.
+    for (const auto& [label, model] : all_model_kinds()) {
+        vm::RealizedTrace eager(model->clone(), 77);
+        eager.ensure(kSlots);
+        const auto expected = segments_below(eager, kSlots);
+
+        vm::RealizedTrace stepped(model->clone(), 77);
+        for (long long h = 0, step = 0; h < kSlots;) {
+            step = step % 13 + 1;
+            h = std::min(kSlots, h + step);
+            stepped.ensure(h);
+            ASSERT_EQ(stepped.realized(), h) << label;
+        }
+        EXPECT_EQ(segments_below(stepped, kSlots), expected) << label;
+        expect_well_formed(stepped, label);
+
+        vm::RealizedTrace frontier(model->clone(), 77);
+        vm::TraceCursor cursor(frontier);
+        for (long long t = 0; t < kSlots;) {
+            const long long limit = std::min(kSlots, t + 3);
+            const long long change = cursor.next_change_at(t, limit);
+            ASSERT_GT(change, t) << label;
+            ASSERT_LE(change, limit) << label;
+            if (change < limit) {
+                ASSERT_NE(eager.state_at(change), eager.state_at(t))
+                    << label << " at slot " << change;
+            }
+            t = change;
+        }
+        EXPECT_EQ(segments_below(frontier, kSlots), expected) << label;
+        expect_well_formed(frontier, label);
+    }
+}
+
+TEST(RealizedTrace, SemiMarkovRealizationCallsTheModelPerSegment) {
+    // Run-length sampling removes work: realizing N slots of a semi-Markov
+    // model costs O(segments) model calls, not N.
+    constexpr long long kLong = 200000;
+    for (const auto& params : {vtr::desktop_grid_params(400.0),
+                               vtr::desktop_grid_params_lognormal(400.0)}) {
+        auto counts = std::make_shared<CountingModel::Counts>();
+        vm::RealizedTrace trace(
+            std::make_unique<CountingModel>(
+                std::make_unique<vtr::SemiMarkovAvailability>(params), counts),
+            kSeed);
+        trace.ensure(kLong);
+        const auto segments =
+            static_cast<long long>(trace.segments().size());
+        EXPECT_GT(segments, 10);
+        EXPECT_LT(segments * 20, kLong) << "sojourns too short to tell";
+        EXPECT_EQ(counts->initial, 1);
+        EXPECT_LE(counts->total(), 2 * segments + 1);
+
+        // Identical to the per-slot oracle, slot for slot.
+        const auto live = live_sample(vtr::SemiMarkovAvailability(params),
+                                      kSeed, kLong);
+        vm::TraceCursor cursor(trace);
+        for (long long t = 0; t < kLong; ++t)
+            ASSERT_EQ(cursor.state_at(t), live[static_cast<std::size_t>(t)])
+                << "slot " << t;
+    }
+}
+
+TEST(RealizedTrace, MarkovRealizationKeepsOneNextStateCallPerSlot) {
+    // A Markov model draws every slot: it declines advance_run once and is
+    // then sampled exactly as before — one next_state call per slot, with
+    // no per-slot probe.
+    constexpr long long kN = 5000;
+    auto counts = std::make_shared<CountingModel::Counts>();
+    vm::RealizedTrace trace(
+        std::make_unique<CountingModel>(
+            std::make_unique<vm::MarkovAvailability>(vt::crashy_chain(0.2)),
+            counts),
+        kSeed);
+    trace.ensure(kN);
+    EXPECT_EQ(counts->initial, 1);
+    EXPECT_EQ(counts->next, kN - 1);
+    EXPECT_EQ(counts->runs, 1);
+
+    vm::TraceCursor cursor(trace);
+    (void)cursor.state_at(3 * kN); // chunked growth past the first ensure
+    EXPECT_EQ(counts->initial, 1);
+    EXPECT_EQ(counts->next, trace.realized() - 1);
+    EXPECT_EQ(counts->runs, 1);
+}
+
+TEST(RealizedTrace, RejectsARunPastTheRequestedHorizon) {
+    // A model whose advance_run overshoots max_slots would silently corrupt
+    // the realization; ensure() refuses it in every build type.
+    class Overshoot final : public vm::AvailabilityModel {
+    public:
+        vm::ProcState initial_state(vu::Rng&) override {
+            return vm::ProcState::Up;
+        }
+        vm::ProcState next_state(vm::ProcState current, vu::Rng&) override {
+            return current;
+        }
+        long long advance_run(vm::ProcState, long long max_slots) override {
+            return max_slots + 1;
+        }
+        [[nodiscard]] std::unique_ptr<vm::AvailabilityModel>
+        clone() const override {
+            return std::make_unique<Overshoot>();
+        }
+    };
+    vm::RealizedTrace trace(std::make_unique<Overshoot>(), 1);
+    EXPECT_THROW(trace.ensure(100), std::logic_error);
 }
