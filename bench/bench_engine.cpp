@@ -9,16 +9,22 @@
 ///    cost model), for both 1 heuristic and the full set.
 ///
 ///  * *Dead-slot skipping* — on volatile platforms the RLE realization
-///    lets the engine fast-forward stretches where no worker is UP
-///    (EngineConfig::skip_dead_slots).  Measured skip-on vs skip-off on a
-///    low-self-transition chain recipe, with the reference slot loop pinned
-///    so the legs keep their historical meaning.
+///    lets the event core elide stretches where no worker is UP
+///    (RunMetrics::dead_slots_skipped).  Measured on a small desktop-grid
+///    fleet (`desktop-grid-skip-on`).  The skip-off leg, the slot loop's
+///    own dead-stretch skip turned off, was retired with that skip; its
+///    numbers stay in the committed BENCH_*.json files.
 ///
 ///  * *Event-driven core* — a scoring-sparse regime (fewer tasks than
 ///    processors, no replicas, long task bodies) where the scheduler goes
 ///    idle between completions and the event core (EngineConfig::
 ///    event_driven) advances whole stretches in closed form.  Measured
 ///    event-on vs slot-loop on the absence-dominated desktop-grid fleet.
+///
+///  * *Scoring* — batched, memoized scoring in a scoring-dominated regime
+///    (`scoring-cached-*`).  The bypass legs that re-ran the scalar scoring
+///    loops were retired with the cache bypass; their numbers stay in the
+///    committed BENCH_*.json files.
 ///
 /// `--json <path>` writes the shared machine-readable schema of
 /// bench/report.hpp — this benchmark seeds the repo's BENCH_*.json perf
@@ -36,7 +42,6 @@
 #include "api/simulation_builder.hpp"
 #include "core/factory.hpp"
 #include "exp/scenario.hpp"
-#include "markov/expectation_cache.hpp"
 #include "sim/engine.hpp"
 #include "trace/semi_markov.hpp"
 #include "util/cli.hpp"
@@ -53,19 +58,19 @@ namespace {
 struct Measurement {
     double wall_seconds = 0;
     long long slots = 0;   ///< simulated slots (skipped dead slots included)
-    long long skipped = 0; ///< slots elided by the dead-stretch fast-forward
+    long long skipped = 0; ///< slots elided while no worker was UP
     long long elided = 0;  ///< slots the event core advanced in closed form
     long long runs = 0;
 };
 
 /// Runs every heuristic in `scheds` on every realized scenario, `repeat`
-/// times, with the given trace-cache and skip policies.  A fresh Simulation
+/// times, with the given trace-cache policy.  A fresh Simulation
 /// per (scenario, repetition) keeps the comparison honest: `share` on pays
 /// for sampling once per instance, off pays once per run.
 Measurement measure(const std::vector<ve::RealizedScenario>& instances,
                     const std::vector<std::string>& heuristics,
                     const vs::EngineConfig& cfg, std::uint64_t seed,
-                    int repeat, bool share, bool skip) {
+                    int repeat, bool share) {
     const auto& registry = va::SchedulerRegistry::instance();
     std::vector<std::unique_ptr<vs::Scheduler>> scheds;
     scheds.reserve(heuristics.size());
@@ -79,14 +84,12 @@ Measurement measure(const std::vector<ve::RealizedScenario>& instances,
             builder.platform(rs.platform)
                 .markov(rs.chains)
                 .config(cfg)
-                .skip_dead_slots(skip)
                 .trace_cache(share)
                 .seed(seed);
             const auto sim = builder.build();
             for (const auto& sched : scheds) {
                 const auto metrics = sim.run(*sched);
                 m.slots += metrics.makespan;
-                m.skipped += metrics.dead_slots_skipped;
                 ++m.runs;
             }
         }
@@ -107,12 +110,6 @@ vb::BenchRecord to_record(const std::string& name, const Measurement& m) {
     return rec;
 }
 
-/// Dead-stretch showcase: 3 night-shift desktop-grid workers under a
-/// heavy-tailed semi-Markov process that keeps the fleet absent ~90% of
-/// the time in runs of hundreds of slots (short UP bursts, long RECLAIMED
-/// evenings, very long DOWN nights).  Beliefs are the equivalent-Markov
-/// fit, as a real deployment would use.  Returns the wall time
-/// with/without the fast-forward.
 /// The night-shift fleet's availability process: short UP bursts, long
 /// RECLAIMED evenings, very long DOWN nights — absent ~90% of the time.
 /// `scale` stretches every sojourn mean by the same factor (a finer slot
@@ -147,7 +144,7 @@ fleet_models(const volsched::trace::SemiMarkovParams& params, int procs) {
 /// for core-vs-core comparisons, where sampling cost is not under test.
 Measurement measure_fleet(
     const vs::Platform& pf, const vs::EngineConfig& cfg, std::uint64_t seed,
-    std::uint64_t salt, int repeat, bool skip, bool event, double scale = 1.0,
+    std::uint64_t salt, int repeat, bool event, double scale = 1.0,
     const std::vector<std::shared_ptr<vm::RealizedTraces>>* shared = nullptr) {
     const int procs = static_cast<int>(pf.w.size());
     const auto params = desktop_grid_process(scale);
@@ -165,7 +162,6 @@ Measurement measure_fleet(
             .models(fleet_models(params, procs))
             .beliefs(beliefs)
             .config(cfg)
-            .skip_dead_slots(skip)
             .event_driven(event)
             .seed(volsched::util::mix_seed(seed, salt, r));
         if (shared) builder.realized((*shared)[static_cast<std::size_t>(r)]);
@@ -181,24 +177,25 @@ Measurement measure_fleet(
     return m;
 }
 
-/// Dead-stretch showcase on the reference slot loop: 3 desktop-grid
-/// workers, the historical skip-on vs skip-off comparison (the event core
-/// subsumes the skip, so these legs pin event_driven off to keep their
-/// meaning against older baselines).
+/// Dead-stretch showcase: 3 night-shift desktop-grid workers under a
+/// heavy-tailed semi-Markov process that keeps the fleet absent ~90% of
+/// the time in runs of hundreds of slots.  Beliefs are the
+/// equivalent-Markov fit, as a real deployment would use.  Runs the event
+/// core, which elides every dead stretch in one step.
 Measurement measure_desktop_grid(const vs::EngineConfig& base_cfg,
-                                 std::uint64_t seed, int repeat, bool skip) {
+                                 std::uint64_t seed, int repeat) {
     const auto pf = vs::Platform::homogeneous(3, /*w_all=*/12,
                                               /*ncom=*/2, /*t_prog=*/10,
                                               /*t_data=*/2);
-    return measure_fleet(pf, base_cfg, seed, 0xDEADULL, repeat, skip,
-                         /*event=*/false);
+    return measure_fleet(pf, base_cfg, seed, 0xDEADULL, repeat,
+                         /*event=*/true);
 }
 
 /// Scoring-sparse showcase for the event core: the same absent-most-of-the-
 /// time fleet, but with fewer tasks than processors, no replicas and long
 /// task bodies, so once the pool drains the scheduler goes quiet and whole
 /// compute/absence stretches advance in closed form.  Measured event core
-/// vs the reference slot loop (skip on — its best historical configuration).
+/// vs the reference slot loop.
 /// The scoring-sparse regime's fixed ingredients, shared by both timed
 /// legs: workload shape plus one pre-sampled realization snapshot per
 /// repetition, so the legs replay identical availability and the stepping
@@ -230,8 +227,7 @@ SparseRegime prepare_desktop_grid_sparse(const vs::EngineConfig& base_cfg,
     // One untimed warm pass materializes each snapshot out to its run's
     // horizon, so neither timed leg grows the realization.
     (void)measure_fleet(rg.pf, rg.cfg, seed, SparseRegime::kSalt, repeat,
-                        /*skip=*/true, /*event=*/true, SparseRegime::kScale,
-                        &rg.instances);
+                        /*event=*/true, SparseRegime::kScale, &rg.instances);
     return rg;
 }
 
@@ -239,8 +235,7 @@ Measurement measure_desktop_grid_sparse(const SparseRegime& rg,
                                         std::uint64_t seed, int repeat,
                                         bool event) {
     return measure_fleet(rg.pf, rg.cfg, seed, SparseRegime::kSalt, repeat,
-                        /*skip=*/true, event, SparseRegime::kScale,
-                        &rg.instances);
+                        event, SparseRegime::kScale, &rg.instances);
 }
 
 std::vector<ve::RealizedScenario> realize_grid(int scenarios, int procs,
@@ -256,11 +251,8 @@ std::vector<ve::RealizedScenario> realize_grid(int scenarios, int procs,
 /// over a mostly-UP eligible set.  The regime's shape is fixed (not
 /// CLI-derived, except under --smoke) so its records stay comparable
 /// across benchmark runs.  Simulations are built once and their shared
-/// realizations warmed by untimed passes, so both timed legs replay
-/// identical availability; ExpectationCache::set_bypass provides the
-/// same-binary A/B, the bypass leg running the pre-change scalar scoring
-/// loops verbatim — per-element virtual dispatch, every Markov
-/// expectation re-derived per score, random weights recomputed per pick.
+/// realizations warmed by untimed passes, so every timed leg replays
+/// identical availability.
 struct ScoringRegime {
     vs::EngineConfig cfg;
     std::vector<vs::Simulation> sims;
@@ -268,14 +260,13 @@ struct ScoringRegime {
 
 Measurement measure_scoring(const ScoringRegime& rg,
                             const std::vector<std::string>& heuristics,
-                            int repeat, bool bypass) {
+                            int repeat) {
     const auto& registry = va::SchedulerRegistry::instance();
     std::vector<std::unique_ptr<vs::Scheduler>> scheds;
     scheds.reserve(heuristics.size());
     for (const auto& name : heuristics)
         scheds.push_back(registry.make(name));
 
-    vm::ExpectationCache::set_bypass(bypass);
     Measurement m;
     const auto start = std::chrono::steady_clock::now();
     for (int r = 0; r < repeat; ++r) {
@@ -283,13 +274,11 @@ Measurement measure_scoring(const ScoringRegime& rg,
             for (const auto& sched : scheds) {
                 const auto metrics = sim.run(*sched);
                 m.slots += metrics.makespan;
-                m.skipped += metrics.dead_slots_skipped;
                 ++m.runs;
             }
         }
     }
     const auto stop = std::chrono::steady_clock::now();
-    vm::ExpectationCache::set_bypass(false);
     m.wall_seconds = std::chrono::duration<double>(stop - start).count();
     return m;
 }
@@ -310,7 +299,6 @@ ScoringRegime prepare_scoring(const vs::EngineConfig& base_cfg,
         builder.platform(rs.platform)
             .markov(rs.chains)
             .config(rg.cfg)
-            .skip_dead_slots(true)
             .trace_cache(true)
             .seed(seed);
         rg.sims.push_back(builder.build());
@@ -401,14 +389,13 @@ int main(int argc, char** argv) {
     // so every measurement covers comparable wall time.
     const int repeat_one = repeat * static_cast<int>(heuristics.size());
     const auto shared_full = measure(paper, heuristics, cfg, seed, repeat,
-                                     /*share=*/true, /*skip=*/true);
+                                     /*share=*/true);
     const auto resample_full = measure(paper, heuristics, cfg, seed, repeat,
-                                       /*share=*/false, /*skip=*/true);
+                                       /*share=*/false);
     const auto shared_one = measure(paper, first_only, cfg, seed, repeat_one,
-                                    /*share=*/true, /*skip=*/true);
+                                    /*share=*/true);
     const auto resample_one = measure(paper, first_only, cfg, seed,
-                                      repeat_one, /*share=*/false,
-                                      /*skip=*/true);
+                                      repeat_one, /*share=*/false);
     records.push_back(to_record("engine/shared-" + nh + "h", shared_full));
     records.push_back(to_record("engine/resample-" + nh + "h", resample_full));
     records.push_back(to_record("engine/shared-1h", shared_one));
@@ -416,14 +403,10 @@ int main(int argc, char** argv) {
 
     // --- Skipping: a small desktop-grid fleet under heavy-tailed
     // semi-Markov availability, where "everyone is away overnight"
-    // stretches run for thousands of slots — the gap the RLE fast-forward
-    // jumps over in one step.
-    const auto skip_on = measure_desktop_grid(cfg, seed, repeat_one,
-                                              /*skip=*/true);
-    const auto skip_off = measure_desktop_grid(cfg, seed, repeat_one,
-                                               /*skip=*/false);
+    // stretches run for thousands of slots — the gap the event core
+    // elides in one step.
+    const auto skip_on = measure_desktop_grid(cfg, seed, repeat_one);
     records.push_back(to_record("engine/desktop-grid-skip-on", skip_on));
-    records.push_back(to_record("engine/desktop-grid-skip-off", skip_off));
 
     // --- Event core: the scoring-sparse regime, where the slot loop still
     // steps every slot of a long computation but the event core jumps to
@@ -441,13 +424,10 @@ int main(int argc, char** argv) {
         to_record("engine/desktop-grid-sparse-slot", sparse_slot));
 
     // --- Scoring: the dense contended regime where the wall time lives in
-    // the heuristics' scoring loops — batched contiguous scoring with the
-    // expectation cache on (the default) vs the pre-change scalar loops
-    // (every Markov expectation re-derived per score), same binary, same
-    // pre-sampled realizations.  Measured twice: over the full heuristic
-    // set (the aggregate is diluted by heuristics that never consult the
-    // Markov formulas) and over the P_UD-scoring subset, whose pow-heavy
-    // closed form is what the cache actually memoizes.
+    // the heuristics' scoring loops (batched contiguous scoring over the
+    // expectation cache), on pre-sampled realizations.  Measured twice:
+    // over the full heuristic set and over the P_UD-scoring subset, whose
+    // pow-heavy closed form is what the cache memoizes.
     const int scoring_procs = cli.get_flag("smoke") ? procs : 96;
     const int scoring_scenarios = cli.get_flag("smoke") ? 1 : 2;
     const int scoring_ncom = 2;
@@ -456,22 +436,13 @@ int main(int argc, char** argv) {
                                          scoring_procs, scoring_ncom, seed);
     // Untimed passes materialize every shared realization out to the
     // longest heuristic's horizon before the timed legs replay them.
-    (void)measure_scoring(scoring, heuristics, 1, /*bypass=*/false);
-    (void)measure_scoring(scoring, pud_set, 1, /*bypass=*/false);
-    const auto scoring_cached = measure_scoring(scoring, heuristics, repeat,
-                                                /*bypass=*/false);
-    const auto scoring_bypass = measure_scoring(scoring, heuristics, repeat,
-                                                /*bypass=*/true);
-    const auto pud_cached = measure_scoring(scoring, pud_set, repeat,
-                                            /*bypass=*/false);
-    const auto pud_bypass = measure_scoring(scoring, pud_set, repeat,
-                                            /*bypass=*/true);
+    (void)measure_scoring(scoring, heuristics, 1);
+    (void)measure_scoring(scoring, pud_set, 1);
+    const auto scoring_cached = measure_scoring(scoring, heuristics, repeat);
+    const auto pud_cached = measure_scoring(scoring, pud_set, repeat);
     records.push_back(
         to_record("engine/scoring-cached-" + nh + "h", scoring_cached));
-    records.push_back(
-        to_record("engine/scoring-bypass-" + nh + "h", scoring_bypass));
     records.push_back(to_record("engine/scoring-cached-pud3h", pud_cached));
-    records.push_back(to_record("engine/scoring-bypass-pud3h", pud_bypass));
 
     volsched::util::TextTable table(
         {"Benchmark", "runs", "slots/sec", "wall s"});
@@ -488,10 +459,8 @@ int main(int argc, char** argv) {
                     heuristics.size(),
                     resample_full.wall_seconds / shared_full.wall_seconds,
                     resample_one.wall_seconds / shared_one.wall_seconds);
-    if (skip_off.wall_seconds > 0 && skip_on.slots > 0)
-        std::printf("dead-slot skip speedup (desktop-grid fleet): %.2fx "
-                    "(%.0f%% of slots skipped)\n",
-                    skip_off.wall_seconds / skip_on.wall_seconds,
+    if (skip_on.slots > 0)
+        std::printf("dead slots skipped (desktop-grid fleet): %.0f%%\n",
                     100.0 * static_cast<double>(skip_on.skipped) /
                         static_cast<double>(skip_on.slots));
     if (sparse_slot.wall_seconds > 0 && sparse_event.slots > 0)
@@ -500,16 +469,7 @@ int main(int argc, char** argv) {
                     sparse_slot.wall_seconds / sparse_event.wall_seconds,
                     100.0 * static_cast<double>(sparse_event.elided) /
                         static_cast<double>(sparse_event.slots));
-    if (scoring_cached.wall_seconds > 0 && scoring_bypass.wall_seconds > 0)
-        std::printf("batched-scoring speedup (scoring-dominated regime, "
-                    "full %s-spec set): %.2fx\n",
-                    nh.c_str(),
-                    scoring_bypass.wall_seconds /
-                        scoring_cached.wall_seconds);
-    if (pud_cached.wall_seconds > 0 && pud_bypass.wall_seconds > 0)
-        std::printf("batched-scoring speedup (scoring-dominated regime, "
-                    "P_UD-scoring subset): %.2fx\n\n",
-                    pud_bypass.wall_seconds / pud_cached.wall_seconds);
+    std::printf("\n");
 
     const std::string json = cli.get_string("json");
     if (!json.empty() && !vb::write_bench_json(json, "bench_engine", records))

@@ -221,11 +221,6 @@ SimulationBuilder& SimulationBuilder::trace_cache(bool on) {
     return *this;
 }
 
-SimulationBuilder& SimulationBuilder::skip_dead_slots(bool on) {
-    config_.skip_dead_slots = on;
-    return *this;
-}
-
 SimulationBuilder& SimulationBuilder::event_driven(bool on) {
     config_.event_driven = on;
     return *this;

@@ -26,10 +26,9 @@
 ///
 /// Realization control: .realized(traces) attaches a pre-sampled
 /// markov::RealizedTraces snapshot (shared availability sampling across
-/// builds), .trace_cache(false) re-samples the realization on every run
-/// instead of caching it, and .skip_dead_slots(false) disables the engine's
-/// dead-stretch fast-forward.  None of these change results: the
-/// realization is a function of the seed only.
+/// builds), and .trace_cache(false) re-samples the realization on every
+/// run instead of caching it.  Neither changes results: the realization is
+/// a function of the seed only.
 
 #include <cstdint>
 #include <memory>
@@ -156,13 +155,11 @@ public:
     /// bit-identical: the realization is a function of the seed only.
     SimulationBuilder& trace_cache(bool on = true);
 
-    /// Disables the dead-stretch fast-forward (EngineConfig::
-    /// skip_dead_slots); sugar over config() for A/B comparisons.
-    SimulationBuilder& skip_dead_slots(bool on = true);
-
     /// Selects the stepping core (EngineConfig::event_driven, default on):
     /// `false` runs the reference slot loop.  Results are bit-identical
-    /// either way; sugar over config() for A/B comparisons.
+    /// either way apart from the elision counters (RunMetrics::
+    /// slots_elided, dead_slots_skipped); sugar over config() for A/B
+    /// comparisons.
     SimulationBuilder& event_driven(bool on = true);
 
     /// Validates and builds.  The result bit-matches the raw

@@ -52,11 +52,8 @@ public:
                         std::vector<double>& scores);
 
     /// Scalar reference scorer: one worker at a time, straight from the
-    /// markov:: free functions — the seed implementation, byte for byte.
-    /// score_batch must match it bit-exactly (the property tests compare
-    /// the two), and select() runs it when the expectation cache is
-    /// bypassed, making the benchmark A/B a faithful before/after of the
-    /// whole batched+memoized scoring path.
+    /// markov:: free functions.  score_batch must match it bit-exactly;
+    /// the property tests compare the two.
     [[nodiscard]] virtual double score(const sim::SchedView& view,
                                        sim::ProcId q, double ct) const = 0;
 

@@ -437,10 +437,6 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
     if (cfg.pipeline_window < 0)
         throw std::invalid_argument(
             "campaign: pipeline_window must be >= 0");
-    if (cfg.pool && !cfg.pipeline)
-        throw std::invalid_argument(
-            "campaign: a shared pool requires pipeline mode (the barrier "
-            "loop's parallel_for would block other drivers)");
     if (cfg.heuristics.empty())
         throw std::invalid_argument("campaign: no heuristics");
     for (const auto& name : cfg.heuristics)
@@ -667,140 +663,108 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
         write_heartbeat("running");
     };
 
-    if (!cfg.pipeline) {
-        // Historical barrier loop, kept for same-binary A/B benchmarking:
-        // every batch waits for its slowest job before anything is emitted.
-        int batches_run = 0;
-        while (jobs_done < jobs_total) {
-            if (cfg.stop_after_batches > 0 &&
-                batches_run >= cfg.stop_after_batches)
-                break;
-            const std::size_t batch_begin =
-                static_cast<std::size_t>(jobs_done);
-            const std::size_t batch_end =
-                std::min(jobs.size(),
-                         batch_begin +
-                             static_cast<std::size_t>(cfg.checkpoint_jobs));
-            const std::size_t batch_size = batch_end - batch_begin;
+    // The completion pipeline.  Workers pull jobs from a shared cursor
+    // (`next_submit`, advanced under `mu` as the emitter frees window slots)
+    // and deposit finished JobOutcomes keyed by job position; this driver
+    // thread is the emitter, draining deposits strictly in job order — so
+    // simulation overlaps sink I/O, a checkpoint's fsync stalls nobody, and
+    // a straggler delays only emission, not the pool.  The window caps
+    // finished-but-unemitted + in-flight jobs, bounding peak record memory.
+    const long long first_job = jobs_done;
+    long long end_jobs = jobs_total;
+    if (cfg.stop_after_batches > 0)
+        end_jobs = std::min(
+            end_jobs, first_job + static_cast<long long>(
+                                      cfg.stop_after_batches) *
+                                      cfg.checkpoint_jobs);
+    const long long window =
+        cfg.pipeline_window > 0
+            ? cfg.pipeline_window
+            : std::max<long long>(cfg.checkpoint_jobs,
+                                  2 * static_cast<long long>(pool.size()));
+    hb_window = window;
+    if (g_window) g_window->add(window);
 
-            std::vector<JobOutcome> batch(
-                batch_size, JobOutcome{DfbTable(num_heuristics), {}});
-            pool.parallel_for(batch_size, [&](std::size_t i) {
-                batch[i] = compute_job(jobs[batch_begin + i]);
-            });
-            for (std::size_t i = 0; i < batch_size; ++i)
-                emit_job(jobs[batch_begin + i], batch[i]);
+    std::mutex mu;
+    std::condition_variable cv;
+    std::map<long long, JobOutcome> ready;
+    std::exception_ptr first_error;
+    long long in_flight = 0;
+    long long next_submit = jobs_done;
 
-            jobs_done = static_cast<long long>(batch_end);
-            checkpoint(jobs_done);
-            ++batches_run;
-        }
-    } else {
-        // The completion pipeline.  Workers pull jobs from a shared cursor
-        // (`next_submit`, advanced under `mu` as the emitter frees window
-        // slots) and deposit finished JobOutcomes keyed by job position;
-        // this driver thread is the emitter, draining deposits strictly in
-        // job order — so simulation overlaps sink I/O, a checkpoint's
-        // fsync stalls nobody, and a straggler delays only emission, not
-        // the pool.  The window caps finished-but-unemitted + in-flight
-        // jobs, bounding peak record memory just like the batch loop did.
-        const long long first_job = jobs_done;
-        long long end_jobs = jobs_total;
-        if (cfg.stop_after_batches > 0)
-            end_jobs = std::min(
-                end_jobs,
-                first_job + static_cast<long long>(cfg.stop_after_batches) *
-                                cfg.checkpoint_jobs);
-        const long long window =
-            cfg.pipeline_window > 0
-                ? cfg.pipeline_window
-                : std::max<long long>(
-                      cfg.checkpoint_jobs,
-                      2 * static_cast<long long>(pool.size()));
-        hb_window = window;
-        if (g_window) g_window->add(window);
-
-        std::mutex mu;
-        std::condition_variable cv;
-        std::map<long long, JobOutcome> ready;
-        std::exception_ptr first_error;
-        long long in_flight = 0;
-        long long next_submit = jobs_done;
-
-        // Caller holds `mu`.  Tasks capture this stack frame by reference,
-        // which is why every exit path below drains `in_flight` to zero
-        // before unwinding.
-        auto submit_upto_window = [&](long long emitted) {
-            while (next_submit < end_jobs && !first_error &&
-                   next_submit - emitted < window) {
-                const long long j = next_submit++;
-                ++in_flight;
-                hb_lag.fetch_add(1, std::memory_order_relaxed);
-                if (g_lag) g_lag->add(1);
-                pool.submit([&, j] {
-                    // notify_all happens *under* `mu`: the driver destroys
-                    // `cv` (by unwinding this stack frame) the moment it
-                    // observes in_flight == 0, and it cannot observe that
-                    // until the lock is released — after the notify call
-                    // has fully returned.
-                    try {
-                        JobOutcome out =
-                            compute_job(jobs[static_cast<std::size_t>(j)]);
-                        std::lock_guard lock(mu);
-                        ready.emplace(j, std::move(out));
-                        --in_flight;
-                        hb_queue.fetch_add(1, std::memory_order_relaxed);
-                        if (g_queue) g_queue->add(1);
-                        cv.notify_all();
-                    } catch (...) {
-                        std::lock_guard lock(mu);
-                        if (!first_error)
-                            first_error = std::current_exception();
-                        --in_flight;
-                        cv.notify_all();
-                    }
-                });
-            }
-        };
-
-        try {
-            {
-                std::unique_lock lock(mu);
-                submit_upto_window(jobs_done);
-            }
-            while (jobs_done < end_jobs) {
-                std::optional<JobOutcome> out;
-                {
-                    std::unique_lock lock(mu);
-                    cv.wait(lock, [&] {
-                        return first_error || ready.contains(jobs_done);
-                    });
-                    if (first_error) break;
-                    auto node = ready.extract(jobs_done);
-                    out.emplace(std::move(node.mapped()));
-                    hb_queue.fetch_add(-1, std::memory_order_relaxed);
-                    if (g_queue) g_queue->add(-1);
-                    submit_upto_window(jobs_done + 1);
+    // Caller holds `mu`.  Tasks capture this stack frame by reference,
+    // which is why every exit path below drains `in_flight` to zero
+    // before unwinding.
+    auto submit_upto_window = [&](long long emitted) {
+        while (next_submit < end_jobs && !first_error &&
+               next_submit - emitted < window) {
+            const long long j = next_submit++;
+            ++in_flight;
+            hb_lag.fetch_add(1, std::memory_order_relaxed);
+            if (g_lag) g_lag->add(1);
+            pool.submit([&, j] {
+                // notify_all happens *under* `mu`: the driver destroys
+                // `cv` (by unwinding this stack frame) the moment it
+                // observes in_flight == 0, and it cannot observe that
+                // until the lock is released — after the notify call
+                // has fully returned.
+                try {
+                    JobOutcome out =
+                        compute_job(jobs[static_cast<std::size_t>(j)]);
+                    std::lock_guard lock(mu);
+                    ready.emplace(j, std::move(out));
+                    --in_flight;
+                    hb_queue.fetch_add(1, std::memory_order_relaxed);
+                    if (g_queue) g_queue->add(1);
+                    cv.notify_all();
+                } catch (...) {
+                    std::lock_guard lock(mu);
+                    if (!first_error)
+                        first_error = std::current_exception();
+                    --in_flight;
+                    cv.notify_all();
                 }
-                emit_job(jobs[static_cast<std::size_t>(jobs_done)], *out);
-                hb_lag.fetch_add(-1, std::memory_order_relaxed);
-                if (g_lag) g_lag->add(-1);
-                ++jobs_done;
-                if ((jobs_done - first_job) % cfg.checkpoint_jobs == 0 ||
-                    jobs_done == jobs_total)
-                    checkpoint(jobs_done);
-                heartbeat_tick();
-            }
-        } catch (...) {
-            std::lock_guard lock(mu);
-            if (!first_error) first_error = std::current_exception();
+            });
         }
+    };
+
+    try {
         {
             std::unique_lock lock(mu);
-            cv.wait(lock, [&] { return in_flight == 0; });
-            if (g_window) g_window->add(-window);
-            if (first_error) std::rethrow_exception(first_error);
+            submit_upto_window(jobs_done);
         }
+        while (jobs_done < end_jobs) {
+            std::optional<JobOutcome> out;
+            {
+                std::unique_lock lock(mu);
+                cv.wait(lock, [&] {
+                    return first_error || ready.contains(jobs_done);
+                });
+                if (first_error) break;
+                auto node = ready.extract(jobs_done);
+                out.emplace(std::move(node.mapped()));
+                hb_queue.fetch_add(-1, std::memory_order_relaxed);
+                if (g_queue) g_queue->add(-1);
+                submit_upto_window(jobs_done + 1);
+            }
+            emit_job(jobs[static_cast<std::size_t>(jobs_done)], *out);
+            hb_lag.fetch_add(-1, std::memory_order_relaxed);
+            if (g_lag) g_lag->add(-1);
+            ++jobs_done;
+            if ((jobs_done - first_job) % cfg.checkpoint_jobs == 0 ||
+                jobs_done == jobs_total)
+                checkpoint(jobs_done);
+            heartbeat_tick();
+        }
+    } catch (...) {
+        std::lock_guard lock(mu);
+        if (!first_error) first_error = std::current_exception();
+    }
+    {
+        std::unique_lock lock(mu);
+        cv.wait(lock, [&] { return in_flight == 0; });
+        if (g_window) g_window->add(-window);
+        if (first_error) std::rethrow_exception(first_error);
     }
 
     write_heartbeat(jobs_done == jobs_total ? "done" : "stopped");
@@ -819,10 +783,6 @@ ParallelCampaignResult run_parallel_campaign(const CampaignConfig& base) {
         throw std::invalid_argument("campaign: shard count must be >= 1");
     if (base.directory.empty())
         throw std::invalid_argument("campaign: no output directory");
-    if (!base.pipeline)
-        throw std::invalid_argument(
-            "campaign: parallel shards require pipeline mode (the barrier "
-            "loop cannot share a worker pool)");
     const int shards = base.shard_count;
     const int trials = base.sweep.trials_per_scenario;
 
@@ -897,38 +857,6 @@ ParallelCampaignResult run_parallel_campaign(const CampaignConfig& base) {
 // ---------------------------------------------------------------------------
 // Merge
 // ---------------------------------------------------------------------------
-
-std::pair<CampaignHeader, std::vector<InstanceRecord>>
-read_shard_records(const std::filesystem::path& jsonl_file) {
-    const std::string text = util::read_text_file(jsonl_file);
-    std::size_t pos = 0;
-    auto next_line = [&]() -> std::optional<std::string_view> {
-        if (pos >= text.size()) return std::nullopt;
-        const std::size_t nl = text.find('\n', pos);
-        const std::size_t end = nl == std::string::npos ? text.size() : nl;
-        std::string_view line(text.data() + pos, end - pos);
-        pos = end + 1;
-        return line;
-    };
-
-    const auto header_line = next_line();
-    if (!header_line)
-        fail("'" + jsonl_file.string() + "' is empty");
-    CampaignHeader header = parse_campaign_header(std::string(*header_line));
-
-    std::vector<InstanceRecord> records;
-    while (const auto line = next_line()) {
-        if (line->empty()) continue;
-        try {
-            records.push_back(JsonlSink::parse_record(*line));
-        } catch (const std::invalid_argument& e) {
-            fail("'" + jsonl_file.string() + "' holds a malformed record (" +
-                 e.what() + "); was the shard killed without a checkpoint? "
-                 "resume it to self-heal, or delete the torn tail");
-        }
-    }
-    return {std::move(header), std::move(records)};
-}
 
 SweepResult
 merge_shards(const std::vector<std::filesystem::path>& jsonl_files) {

@@ -34,11 +34,11 @@
 ///
 /// Hot path: the scoring loops resolve each belief once per scheduling
 /// round with pin() — one hash probe plus the matrix validation — and
-/// then read every quantity through the returned Handle, which is a
-/// branch and a load.  A Handle stays valid until the cache is cleared or
-/// the pinned chain's entry is invalidated by a chain-keyed access; pin
-/// again at every round boundary (GreedyScheduler does this from
-/// begin_round) rather than holding handles across rounds or runs.
+/// then read every quantity through the returned Handle, which is a load.
+/// A Handle stays valid until the cache is cleared or the pinned chain's
+/// entry is invalidated by a chain-keyed access; pin again at every round
+/// boundary (GreedyScheduler does this from begin_round) rather than
+/// holding handles across rounds or runs.
 ///
 /// Thread-safety: none — one cache per scheduler instance.  The sweep and
 /// campaign drivers construct schedulers per instance per worker thread
@@ -63,25 +63,20 @@ class ExpectationCache {
     struct Entry; // defined below; Handle needs the name first
 
 public:
-    /// A pinned, validated cache entry (see pin()).  Null `entry` with a
-    /// non-null `chain` means the cache is bypassed: every accessor
-    /// recomputes from the chain like the free functions do.  A
-    /// default-constructed Handle (both null) must not be dereferenced —
-    /// callers keep their existing `belief == nullptr` branches.
+    /// A pinned, validated cache entry (see pin()).  A default-constructed
+    /// Handle (null entry) must not be dereferenced — callers keep their
+    /// existing `belief == nullptr` branches.
     class Handle {
         friend class ExpectationCache;
         Entry* entry = nullptr;
-        const MarkovChain* chain = nullptr;
     };
 
     /// Resolve `chain` to its cache entry — one hash probe plus the
     /// matrix re-validation — and return a Handle for repeated cheap
-    /// access.  Under bypass the map is not touched at all and the Handle
-    /// routes every accessor to the free functions.
+    /// access.
     Handle pin(const MarkovChain& chain) {
         Handle h;
-        h.chain = &chain;
-        if (!bypass_) h.entry = &entry(chain);
+        h.entry = &entry(chain);
         return h;
     }
 
@@ -108,22 +103,10 @@ public:
     /// Handle-keyed twins of the getters above, bit-identical to both the
     /// chain-keyed getters and the free functions.  No hash probe, no
     /// re-validation: pin() already did both for this round.
-    double p_plus(Handle h) {
-        if (h.entry == nullptr) return markov::p_plus(h.chain->matrix());
-        return scalar(*h.entry, kPPlus);
-    }
-    double log_p_plus(Handle h) {
-        if (h.entry == nullptr)
-            return std::log(markov::p_plus(h.chain->matrix()));
-        return scalar(*h.entry, kLogPPlus);
-    }
-    double e_up(Handle h) {
-        if (h.entry == nullptr) return markov::e_up(h.chain->matrix());
-        return scalar(*h.entry, kEUp);
-    }
+    double p_plus(Handle h) { return scalar(*h.entry, kPPlus); }
+    double log_p_plus(Handle h) { return scalar(*h.entry, kLogPPlus); }
+    double e_up(Handle h) { return scalar(*h.entry, kEUp); }
     double e_workload(Handle h, double workload) {
-        if (h.entry == nullptr)
-            return markov::e_workload(h.chain->matrix(), workload);
         if (workload <= 0.0) return 0.0;
         if (workload <= 1.0) return workload;
         const double eu = scalar(*h.entry, kEUp);
@@ -131,11 +114,6 @@ public:
         return 1.0 + (workload - 1.0) * eu;
     }
     double p_ud_approx(Handle h, double k) {
-        if (h.entry == nullptr) {
-            const Stationary& pi = h.chain->stationary();
-            return markov::p_ud_approx(h.chain->matrix(), pi.pi_u, pi.pi_r,
-                                       k);
-        }
         if (k <= 1.0) return 1.0;
         return p_ud_approx_entry(*h.entry, k);
     }
@@ -158,16 +136,6 @@ public:
         return entries_.size();
     }
     void clear() noexcept;
-
-    /// Benchmark hook: when set, every getter forwards straight to the
-    /// markov:: free function (counters untouched) and pin() skips the
-    /// map, turning the cache off without recompiling — the same-binary
-    /// A/B used by bench_engine's scoring-dominated regime.  Not for
-    /// concurrent use, and not mid-round: flip it only while no scheduler
-    /// is running (handles pinned before the flip keep their pin-time
-    /// behavior).
-    static void set_bypass(bool on) noexcept { bypass_ = on; }
-    [[nodiscard]] static bool bypassed() noexcept { return bypass_; }
 
 private:
     enum Scalar : std::size_t {
@@ -315,8 +283,6 @@ private:
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t invalidations_ = 0;
-
-    static inline bool bypass_ = false;
 };
 
 } // namespace volsched::markov

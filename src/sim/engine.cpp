@@ -208,21 +208,19 @@ public:
         slot_flags_.assign(static_cast<std::size_t>(pf_.size()), 0);
         long long t = 0;
         while (t < config_.max_slots) {
-            // A realization that starts with every worker absent: do slot
-            // 0's bookkeeping in closed form and skip the whole stretch
-            // (both cores; historically the `t > 0` guard below made the
-            // engine walk slot 0 of such a stretch).
-            if (t == 0 && (config_.event_driven || config_.skip_dead_slots) &&
-                try_skip_initial_dead(t))
-                continue;
             if (config_.event_driven) {
+                // A realization that starts with every worker absent: do
+                // slot 0's bookkeeping in closed form and skip the whole
+                // stretch (the `t > 0` guard below would walk slot 0).
+                if (t == 0 && try_skip_initial_dead(t)) continue;
                 // Event-driven core: jump to the next candidate event and
                 // advance the provably-inert slots in between
                 // arithmetically.  Stretches shorter than kMinJump are not
-                // worth a fast_forward's setup (except dead ones, whose
-                // skip count must match the slot loop's) — they run through
-                // the normal phases below, and known_inert_until_ remembers
-                // the horizon so the prediction is not recomputed per slot.
+                // worth a fast_forward's setup (except dead ones, so that
+                // dead_slots_skipped counts every absent slot elided) —
+                // they run through the normal phases below, and
+                // known_inert_until_ remembers the horizon so the
+                // prediction is not recomputed per slot.
                 if (t > 0 && t >= known_inert_until_) {
                     const long long ev = steady_horizon(t);
                     if (ev - t >= kMinJump || (ev > t && up_count_ == 0)) {
@@ -231,21 +229,6 @@ public:
                         continue;
                     }
                     known_inert_until_ = ev;
-                }
-            } else if (config_.skip_dead_slots && t > 0 && up_count_ == 0) {
-                // Dead-stretch fast-forward: with every worker DOWN or
-                // RECLAIMED nothing can transfer, compute, or complete, so
-                // the slot loop is a no-op until some processor changes
-                // state.
-                long long change = config_.max_slots;
-                for (int q = 0; q < pf_.size(); ++q)
-                    change =
-                        std::min(change, cursors_[q].next_change_at(t - 1,
-                                                                    change));
-                if (change > t) {
-                    skip_dead_range(t, change);
-                    t = change;
-                    continue;
                 }
             }
             slot_ = t;
@@ -324,11 +307,11 @@ private:
         }
     }
 
-    /// Fast-forwards the dead stretch [from, to): every worker is DOWN or
-    /// RECLAIMED for the whole range, so the only per-slot obligations are
-    /// the recorders (timelines and action traces must stay bit-identical
-    /// to an unskipped run).  Audit mode re-verifies the premise slot by
-    /// slot before trusting the jump.
+    /// Fast-forwards the initial dead stretch [from, to): every worker is
+    /// DOWN or RECLAIMED for the whole range, so the only per-slot
+    /// obligations are the recorders (timelines and action traces must
+    /// stay bit-identical to the slot loop).  Audit mode re-verifies the
+    /// premise slot by slot before trusting the jump.
     void skip_dead_range(long long from, long long to) {
         if (config_.audit) {
             for (int q = 0; q < pf_.size(); ++q) {
@@ -367,12 +350,12 @@ private:
         metrics_.dead_slots_skipped += to - from;
     }
 
-    /// Slot-0 companion to the dead-stretch fast-forward: when the
+    /// Slot-0 case of the event core's dead-stretch elision: when the
     /// realization starts with every worker DOWN or RECLAIMED, slot 0's
     /// only observable work is the initial StateChange emission and the
     /// DOWN accounting (nothing is committed yet, so handle_down has
     /// nothing to release).  Perform exactly that bookkeeping, then skip
-    /// the stretch like any other dead range.  Returns false when some
+    /// the stretch.  Returns false when some
     /// worker starts UP (the normal loop then runs slot 0).
     bool try_skip_initial_dead(long long& t) {
         for (int q = 0; q < pf_.size(); ++q)
@@ -393,7 +376,7 @@ private:
             }
         }
         skip_dead_range(0, change);
-        if (config_.event_driven) metrics_.slots_elided += change;
+        metrics_.slots_elided += change;
         t = change;
         return true;
     }
@@ -1488,7 +1471,8 @@ private:
 
     /// Shortest inert stretch worth a fast_forward (below it, the closed-
     /// form setup costs more than stepping the slots; dead stretches are
-    /// exempt so the skip count matches the slot loop's).
+    /// exempt, which keeps dead_slots_skipped meaning every absent slot
+    /// elided).
     static constexpr long long kMinJump = 4;
     /// Slots in [t, known_inert_until_) are known inert from an earlier
     /// steady_horizon call that fell under kMinJump; they step through the

@@ -31,16 +31,18 @@
 /// The engine has two stepping cores over this identical slot semantics:
 ///
 ///  - The slot loop (EngineConfig::event_driven == false) walks every slot
-///    of the horizon, optionally fast-forwarding dead stretches where no
-///    worker is UP (EngineConfig::skip_dead_slots).
+///    of the horizon.  It is the plain reference oracle the event core is
+///    tested against.
 ///  - The event-driven core (the default) keeps a frontier of (slot, event)
 ///    candidates — availability transitions read from the RLE segments via
 ///    markov::TraceCursor::next_change_at, transfer/compute/checkpoint
 ///    completions computed in closed form from the current counters, and
 ///    scheduler decision points — and advances every provably-inert slot in
-///    between arithmetically (RunMetrics::slots_elided counts them).
-///    Action traces, timelines, events, and RunMetrics are bit-identical
-///    to the slot loop; audit mode re-verifies every elided range.
+///    between arithmetically (RunMetrics::slots_elided counts them, and
+///    RunMetrics::dead_slots_skipped the elided slots with no worker UP).
+///    Action traces, timelines, events, and RunMetrics other than those
+///    two counters are bit-identical to the slot loop; audit mode
+///    re-verifies every elided range.
 
 #include <memory>
 #include <vector>
@@ -98,14 +100,6 @@ struct EngineConfig {
     long long max_slots = 10'000'000;
     /// Scheduler class (Section 6.1); Dynamic is the paper's setting.
     SchedulerClass plan_class = SchedulerClass::Dynamic;
-    /// When true (default), the engine fast-forwards stretches of slots in
-    /// which no worker is UP and no availability state change occurs:
-    /// nothing can transfer, compute, or complete in such a slot, so the
-    /// engine jumps straight to the next state change (RunMetrics::
-    /// dead_slots_skipped counts the slots elided).  Timelines and action
-    /// traces are back-filled so recorded output is bit-identical with the
-    /// flag on or off.
-    bool skip_dead_slots = true;
     /// When true (default), the engine runs its event-driven core: between
     /// consecutive candidate events (availability transitions from the RLE
     /// trace, transfer/compute/checkpoint completions in closed form,
@@ -113,8 +107,6 @@ struct EngineConfig {
     /// of simulated one by one (RunMetrics::slots_elided counts them).
     /// Output is bit-identical to the slot loop by construction; the knob
     /// exists to run the reference slot loop for validation and benchmarks.
-    /// The event core subsumes `skip_dead_slots` (dead stretches are just
-    /// one kind of inert range) and ignores that flag.
     bool event_driven = true;
     /// When true, the engine cross-checks model invariants every slot and
     /// throws std::logic_error on violation (skipped dead ranges and

@@ -52,10 +52,9 @@ struct RunMetrics {
     /// Number of UP/RECLAIMED -> DOWN transitions observed.
     long long down_events = 0;
 
-    /// Slots elided while no worker was UP (the dead-stretch fast-forward
-    /// of EngineConfig::skip_dead_slots, or the event-driven core eliding a
-    /// fully-absent stretch): counted toward the makespan but never
-    /// simulated slot by slot.  Zero when neither mechanism triggered.
+    /// Slots the event-driven core elided while no worker was UP: counted
+    /// toward the makespan but never simulated slot by slot.  Zero under
+    /// the reference slot loop, which simulates every slot.
     long long dead_slots_skipped = 0;
 
     /// Slots elided by the event-driven core's closed-form advancement

@@ -13,6 +13,7 @@
 #include "api/campaign_builder.hpp"
 #include "api/experiment_builder.hpp"
 #include "exp/campaign.hpp"
+#include "exp/index_sink.hpp"
 #include "exp/sink.hpp"
 #include "exp/sweep.hpp"
 #include "support/golden.hpp"
@@ -331,16 +332,20 @@ TEST(Campaign, KilledAndResumedProducesIdenticalOutput) {
     EXPECT_EQ(read_file(interrupted_dir.file("records.csv")), csv);
     expect_results_identical(resumed.tables, uninterrupted.tables);
 
-    // The record stream parses back with each instance exactly once.
-    const auto [header, records] =
-        ve::read_shard_records(resumed.jsonl_path);
-    EXPECT_EQ(header.fingerprint,
+    // The record stream parses back through the shipped read path (header
+    // + index rebuild scan) with each instance exactly once.
+    std::string header_line;
+    {
+        std::ifstream in(resumed.jsonl_path);
+        ASSERT_TRUE(std::getline(in, header_line));
+    }
+    EXPECT_EQ(ve::parse_campaign_header(header_line).fingerprint,
               ve::campaign_fingerprint(sliced.sweep, sliced.heuristics));
+    const auto entries = ve::build_index_entries(resumed.jsonl_path);
     std::set<std::pair<std::uint64_t, int>> identities;
-    for (const auto& rec : records)
-        EXPECT_TRUE(
-            identities.emplace(rec.scenario_ordinal, rec.trial).second);
-    EXPECT_EQ(static_cast<long long>(records.size()),
+    for (const auto& e : entries)
+        EXPECT_TRUE(identities.emplace(e.ordinal, e.trial).second);
+    EXPECT_EQ(static_cast<long long>(entries.size()),
               resumed.instances_done);
 }
 

@@ -1,7 +1,7 @@
 /// Campaign scale-out: the barrier-free completion pipeline, in-process
 /// parallel shards, and the queryable index sidecar.  The load-bearing
-/// guarantees pinned here are the scale-out issue's acceptance criteria:
-/// (1) pipeline and barrier execution emit byte-identical outputs, (2) an
+/// guarantees pinned here: (1) every pipeline window, down to lock-step
+/// window 1 (the old batch ordering), emits byte-identical outputs, (2) an
 /// in-process N-shard parallel run is byte-identical to N separate
 /// sequential shard processes — and merges bit-identically to the unsharded
 /// sweep, (3) kill/resume under the pipelined emitter stays byte-identical,
@@ -143,60 +143,40 @@ query_lines(const std::vector<std::filesystem::path>& files,
 
 } // namespace
 
-TEST(Pipeline, MatchesBarrierLoopByteForByte) {
-    TempDir piped_dir, barrier_dir;
-
-    auto piped = small_campaign(piped_dir.path());
-    piped.write_csv = true;
-    ASSERT_TRUE(piped.pipeline); // the default execution mode
-    const auto a = ve::run_campaign(piped);
-    ASSERT_TRUE(a.complete);
-
-    auto barrier = small_campaign(barrier_dir.path());
-    barrier.write_csv = true;
-    barrier.pipeline = false;
-    const auto b = ve::run_campaign(barrier);
-    ASSERT_TRUE(b.complete);
-
-    const auto pa = shard_bytes(piped_dir.path());
-    const auto pb = shard_bytes(barrier_dir.path());
-    EXPECT_EQ(pa.jsonl, pb.jsonl);
-    EXPECT_EQ(pa.idx, pb.idx);
-    EXPECT_EQ(pa.manifest, pb.manifest);
-    EXPECT_EQ(read_file(piped_dir.file("records.csv")),
-              read_file(barrier_dir.file("records.csv")));
-    expect_results_identical(a.tables, b.tables);
-}
-
 TEST(Pipeline, WindowOfOneDegeneratesSafely) {
-    // window=1 forces lock-step submit/emit — the pipeline's worst case
-    // must still produce the canonical bytes.
+    // window=1 forces lock-step submit/emit — the pipeline's worst case,
+    // and the old batch loop's ordering — and must still produce the
+    // canonical bytes: JSONL, index, MANIFEST, CSV and tables.
     TempDir reference_dir, narrow_dir;
-    const auto reference =
-        ve::run_campaign(small_campaign(reference_dir.path()));
+    auto wide = small_campaign(reference_dir.path());
+    wide.write_csv = true;
+    const auto reference = ve::run_campaign(wide);
     ASSERT_TRUE(reference.complete);
 
     auto narrow = small_campaign(narrow_dir.path());
+    narrow.write_csv = true;
     narrow.pipeline_window = 1;
-    ASSERT_TRUE(ve::run_campaign(narrow).complete);
-    EXPECT_EQ(read_file(narrow_dir.file("records.jsonl")),
-              read_file(reference_dir.file("records.jsonl")));
-    EXPECT_EQ(read_file(narrow_dir.file("records.idx")),
-              read_file(reference_dir.file("records.idx")));
+    const auto lock_step = ve::run_campaign(narrow);
+    ASSERT_TRUE(lock_step.complete);
+    const auto pa = shard_bytes(reference_dir.path());
+    const auto pb = shard_bytes(narrow_dir.path());
+    EXPECT_EQ(pb.jsonl, pa.jsonl);
+    EXPECT_EQ(pb.idx, pa.idx);
+    EXPECT_EQ(pb.manifest, pa.manifest);
+    EXPECT_EQ(read_file(narrow_dir.file("records.csv")),
+              read_file(reference_dir.file("records.csv")));
+    expect_results_identical(lock_step.tables, reference.tables);
 
     auto bad = small_campaign(narrow_dir.path());
     bad.pipeline_window = -1;
     EXPECT_THROW(ve::run_campaign(bad), std::invalid_argument);
 }
 
-TEST(Pipeline, SharedPoolRequiresPipelineMode) {
+TEST(Pipeline, SharedPoolRunsToCompletion) {
     TempDir dir;
     volsched::util::ThreadPool pool(2);
     auto cfg = small_campaign(dir.path());
     cfg.pool = &pool;
-    cfg.pipeline = false; // barrier loop would monopolize the shared pool
-    EXPECT_THROW(ve::run_campaign(cfg), std::invalid_argument);
-    cfg.pipeline = true;
     EXPECT_TRUE(ve::run_campaign(cfg).complete);
 }
 
@@ -317,9 +297,6 @@ TEST(ParallelCampaign, AggregatesProgressAndSerializesRecords) {
     auto invalid = base;
     invalid.shard_count = 0;
     EXPECT_THROW(ve::run_parallel_campaign(invalid), std::invalid_argument);
-    auto barrier = base;
-    barrier.pipeline = false;
-    EXPECT_THROW(ve::run_parallel_campaign(barrier), std::invalid_argument);
 }
 
 TEST(ParallelCampaign, RunsThroughTheBuilderFacade) {

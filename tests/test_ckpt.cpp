@@ -474,7 +474,7 @@ TEST(CkptCampaign, RecordsCarryTheCheckpointOnlyWhenSwept) {
 // The remaining EngineConfig knobs ride through SweepConfig so campaigns
 // can toggle them like SimulationBuilder users can: audited sweeps must
 // reproduce the unaudited results exactly (auditing only observes).
-TEST(CkptSweep, AuditAndSkipKnobsDoNotChangeResults) {
+TEST(CkptSweep, AuditKnobDoesNotChangeResults) {
     ve::SweepConfig cfg;
     cfg.tasks_values = {3};
     cfg.ncom_values = {2};
@@ -487,7 +487,6 @@ TEST(CkptSweep, AuditAndSkipKnobsDoNotChangeResults) {
     const std::vector<std::string> heuristics = {"mct", "emct"};
     const auto plain = ve::run_sweep(cfg, heuristics);
     cfg.run.audit = true;
-    cfg.run.skip_dead_slots = false;
     const auto audited = ve::run_sweep(cfg, heuristics);
     EXPECT_EQ(plain.overall.instances(), audited.overall.instances());
     for (std::size_t h = 0; h < heuristics.size(); ++h) {

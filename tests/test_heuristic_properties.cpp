@@ -4,13 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <numeric>
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/ct.hpp"
 #include "core/factory.hpp"
 #include "core/greedy_sched.hpp"
 #include "markov/expectation.hpp"
-#include "markov/expectation_cache.hpp"
 #include "markov/gen.hpp"
 #include "sim/scheduler.hpp"
 #include "util/rng.hpp"
@@ -58,6 +63,123 @@ std::vector<vs::ProcId> all_procs(int p) {
     std::vector<vs::ProcId> out(static_cast<std::size_t>(p));
     for (int q = 0; q < p; ++q) out[q] = q;
     return out;
+}
+
+// ---- Scalar oracles for select() -----------------------------------------
+// One worker at a time, straight from ct.hpp and the markov:: free
+// functions: no batching, no expectation cache, no precomputed weights.
+
+/// Greedy family: argmin of the scheduler's scalar score() over
+/// ct_estimate, ties broken toward the smaller CT, then the lower index.
+vs::ProcId greedy_scalar_select(const vc::GreedyScheduler& sched,
+                                bool starred, const vs::SchedView& view,
+                                std::span<const vs::ProcId> eligible,
+                                std::span<const int> nq) {
+    vs::ProcId best = eligible[0];
+    double best_score = std::numeric_limits<double>::infinity();
+    double best_ct = std::numeric_limits<double>::infinity();
+    for (const vs::ProcId q : eligible) {
+        const double ct =
+            vc::ct_estimate(view, q, nq[q] + 1, nq[q] > 0, starred);
+        const double s = sched.score(view, q, ct);
+        if (s < best_score - 1e-12 ||
+            (std::fabs(s - best_score) <= 1e-12 && ct < best_ct)) {
+            best = q;
+            best_score = s;
+            best_ct = ct;
+        }
+    }
+    return best;
+}
+
+/// hybrid: argmin of E(CT) / P_UD(E(CT)) over ct_plain.
+vs::ProcId hybrid_scalar_select(const vs::SchedView& view,
+                                std::span<const vs::ProcId> eligible,
+                                std::span<const int> nq) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    vs::ProcId best = eligible[0];
+    double best_score = kInf;
+    for (const vs::ProcId q : eligible) {
+        const double ct = vc::ct_plain(view, q, nq[q] + 1);
+        double score = ct;
+        if (const auto* belief = view.procs[q].belief) {
+            const auto& m = belief->matrix();
+            const auto& pi = belief->stationary();
+            const double expected = vm::e_workload(m, ct);
+            if (std::isinf(expected)) {
+                score = kInf;
+            } else {
+                const double p_survive =
+                    vm::p_ud_approx(m, pi.pi_u, pi.pi_r, expected);
+                score = p_survive > 0.0 ? expected / p_survive : kInf;
+            }
+        }
+        if (score < best_score) {
+            best_score = score;
+            best = q;
+        }
+    }
+    return best;
+}
+
+/// random[1-4][w]: per-pick weights from the belief's formula, drawn
+/// through Rng::weighted_index; all-zero weights fall back to uniform.
+vs::ProcId random_scalar_select(const std::string& name,
+                                const vs::SchedView& view,
+                                std::span<const vs::ProcId> eligible,
+                                volsched::util::Rng& rng) {
+    const char kind = name.size() > 6 ? name[6] : '0';
+    const bool by_speed = name.back() == 'w';
+    std::vector<double> weights;
+    for (const vs::ProcId q : eligible) {
+        const auto& pv = view.procs[q];
+        double w = 1.0;
+        if (pv.belief != nullptr) {
+            const auto& m = pv.belief->matrix();
+            const auto& pi = pv.belief->stationary();
+            switch (kind) {
+                case '1': w = m.p_uu(); break;
+                case '2': w = vm::p_plus(m); break;
+                case '3': w = pi.pi_u; break;
+                case '4': w = 1.0 - pi.pi_d; break;
+                default: break;
+            }
+        }
+        if (by_speed) w /= static_cast<double>(pv.w);
+        weights.push_back(w);
+    }
+    const std::size_t idx = rng.weighted_index(weights.data(), weights.size());
+    if (idx >= eligible.size())
+        return eligible[rng.uniform_int(0, eligible.size() - 1)];
+    return eligible[idx];
+}
+
+/// Dispatches on the spec: "thrNN:inner" filters on pi_u >= NN/100 (all
+/// eligible when none pass) and recurses into the inner spec.
+vs::ProcId scalar_select(const std::string& name, const vs::SchedView& view,
+                         std::span<const vs::ProcId> eligible,
+                         std::span<const int> nq, volsched::util::Rng& rng) {
+    if (name.rfind("thr", 0) == 0) {
+        const auto colon = name.find(':');
+        const double threshold = std::stod(name.substr(3, colon - 3)) / 100.0;
+        std::vector<vs::ProcId> kept;
+        for (const vs::ProcId q : eligible) {
+            const auto* belief = view.procs[q].belief;
+            if (belief == nullptr || belief->stationary().pi_u >= threshold)
+                kept.push_back(q);
+        }
+        const std::string inner = name.substr(colon + 1);
+        if (kept.empty()) return scalar_select(inner, view, eligible, nq, rng);
+        return scalar_select(inner, view, kept, nq, rng);
+    }
+    if (name == "hybrid") return hybrid_scalar_select(view, eligible, nq);
+    if (name.rfind("random", 0) == 0)
+        return random_scalar_select(name, view, eligible, rng);
+    const auto sched = vc::make_scheduler(name);
+    const auto* greedy = dynamic_cast<const vc::GreedyScheduler*>(sched.get());
+    if (greedy == nullptr) throw std::logic_error("no oracle for " + name);
+    return greedy_scalar_select(*greedy, name.back() == '*', view, eligible,
+                                nq);
 }
 
 } // namespace
@@ -232,34 +354,29 @@ TEST_P(HeuristicProperty, DecisionsInvariantUnderWorkerPermutation) {
     }
 }
 
-TEST_P(HeuristicProperty, CachedSelectMatchesBypassedScalarSelect) {
-    // select() with the expectation cache engaged (batched passes) and
-    // with the cache bypassed (the pre-change scalar loops, kept verbatim
-    // for the benchmark A/B) must make identical decisions from identical
-    // RNG streams.
-    struct BypassGuard {
-        ~BypassGuard() { vm::ExpectationCache::set_bypass(false); }
-    } guard;
+TEST_P(HeuristicProperty, BatchedSelectMatchesScalarOracle) {
+    // select() runs batched passes over the expectation cache; the scalar
+    // oracles above re-derive every score one worker at a time from the
+    // free functions.  Both must make identical decisions and consume the
+    // RNG identically, for every spec of the 21-spec set.
     Fixture f(6, static_cast<std::uint64_t>(GetParam()) + 700);
     const std::vector<int> nq = {1, 0, 2, 0, 0, 3};
     const auto eligible = all_procs(6);
     auto names = vc::all_heuristic_names();
     const auto& ext = vc::extension_heuristic_names();
     names.insert(names.end(), ext.begin(), ext.end());
+    ASSERT_EQ(names.size(), 21u);
     for (const auto& name : names) {
-        auto cached = vc::make_scheduler(name);
-        auto scalar = vc::make_scheduler(name);
-        volsched::util::Rng rng_cached(5);
+        auto batched = vc::make_scheduler(name);
+        volsched::util::Rng rng_batched(5);
         volsched::util::Rng rng_scalar(5);
-        cached->begin_round(f.view);
-        const auto pick_cached =
-            cached->select(f.view, eligible, nq, rng_cached);
-        vm::ExpectationCache::set_bypass(true);
-        scalar->begin_round(f.view);
+        batched->begin_round(f.view);
+        const auto pick_batched =
+            batched->select(f.view, eligible, nq, rng_batched);
         const auto pick_scalar =
-            scalar->select(f.view, eligible, nq, rng_scalar);
-        vm::ExpectationCache::set_bypass(false);
-        EXPECT_EQ(pick_cached, pick_scalar) << name;
+            scalar_select(name, f.view, eligible, nq, rng_scalar);
+        EXPECT_EQ(pick_batched, pick_scalar) << name;
+        EXPECT_EQ(rng_batched(), rng_scalar()) << name << ": RNG drift";
     }
 }
 

@@ -169,11 +169,12 @@ TEST(SeedDeterminism, BuilderPathReplaysTheConstructorPathExactly) {
 }
 
 TEST(SeedDeterminism, SlotSkippingLeavesActionTracesUnchanged) {
-    // The dead-stretch fast-forward may only elide slots in which nothing
-    // can happen, so metrics and the exact per-slot action traces must be
-    // bit-identical with the optimization on or off.  Volatile chains on a
-    // tiny platform make all-workers-DOWN stretches frequent enough that
-    // the skip path genuinely fires (asserted via dead_slots_skipped).
+    // The event core's dead-stretch elision may only skip slots in which
+    // nothing can happen, so metrics and the exact per-slot action traces
+    // must be bit-identical to the plain slot loop, which steps every
+    // slot.  Volatile chains on a tiny platform make all-workers-DOWN
+    // stretches frequent enough that the elision genuinely fires (asserted
+    // via the event core's dead_slots_skipped).
     vs::Platform pf;
     pf.w = {2, 3, 4};
     pf.ncom = 2;
@@ -187,15 +188,14 @@ TEST(SeedDeterminism, SlotSkippingLeavesActionTracesUnchanged) {
         vs::ActionTrace skip_trace, step_trace;
 
         vs::EngineConfig cfg = vt::audited_config(2, 4);
-        cfg.event_driven = false; // this test pins the slot loop's skip path
-        cfg.skip_dead_slots = true;
+        cfg.event_driven = true;
         cfg.actions = &skip_trace;
         const auto skipping =
             vs::Simulation::from_chains(pf, chains, cfg, 17);
         const auto sched1 = vc::make_scheduler(name);
         const auto m1 = skipping.run(*sched1);
 
-        cfg.skip_dead_slots = false;
+        cfg.event_driven = false;
         cfg.actions = &step_trace;
         const auto stepping =
             vs::Simulation::from_chains(pf, chains, cfg, 17);
@@ -218,20 +218,21 @@ TEST(SeedDeterminism, SlotSkippingLeavesActionTracesUnchanged) {
                 << name << " proc " << q;
         }
         EXPECT_TRUE(same_trace(skip_trace, step_trace))
-            << name << ": slot-skipping changed the action trace";
+            << name << ": dead-slot elision changed the action trace";
         skipped_total += m1.dead_slots_skipped;
     }
     EXPECT_GT(skipped_total, 0)
-        << "scenario never exercised the dead-stretch fast-forward; "
-           "volatility too low for the test to be meaningful";
+        << "scenario never exercised the event core's dead-stretch "
+           "elision; volatility too low for the test to be meaningful";
 }
 
 TEST(SeedDeterminism, SemiMarkovSlotSkippingLeavesActionTracesUnchanged) {
-    // The Markov variant above pins skip on/off equality for memoryless
-    // chains; heavy-tailed semi-Markov sojourns are the case the RLE
-    // fast-forward was built for (multi-hundred-slot absences), and their
-    // non-geometric run lengths exercise next_change_at differently — so
-    // the equality is pinned for a SemiMarkovAvailability fleet too.
+    // The Markov variant above pins event-core-vs-slot-loop equality for
+    // memoryless chains; heavy-tailed semi-Markov sojourns are the case
+    // dead-stretch elision was built for (multi-hundred-slot absences),
+    // and their non-geometric run lengths exercise next_change_at
+    // differently — so the equality is pinned for a SemiMarkovAvailability
+    // fleet too.  Arm 0 is the slot loop, arm 1 the event core.
     using volsched::trace::SemiMarkovAvailability;
     using volsched::trace::SemiMarkovParams;
     using volsched::trace::SojournDist;
@@ -255,7 +256,7 @@ TEST(SeedDeterminism, SemiMarkovSlotSkippingLeavesActionTracesUnchanged) {
     for (const auto& name : vc::greedy_heuristic_names()) {
         vs::ActionTrace traces[2];
         vs::RunMetrics metrics[2];
-        for (int skip = 0; skip < 2; ++skip) {
+        for (int event = 0; event < 2; ++event) {
             std::vector<
                 std::unique_ptr<volsched::markov::AvailabilityModel>>
                 models;
@@ -268,13 +269,12 @@ TEST(SeedDeterminism, SemiMarkovSlotSkippingLeavesActionTracesUnchanged) {
                            .models(std::move(models))
                            .beliefs(beliefs)
                            .config(cfg)
-                           .actions(&traces[skip])
-                           .event_driven(false) // pins the slot loop's skip
-                           .skip_dead_slots(skip == 1)
+                           .actions(&traces[event])
+                           .event_driven(event == 1)
                            .seed(23)
                            .build();
             const auto sched = vc::make_scheduler(name);
-            metrics[skip] = sim.run(*sched);
+            metrics[event] = sim.run(*sched);
         }
         EXPECT_EQ(metrics[0].dead_slots_skipped, 0) << name;
         EXPECT_EQ(metrics[0].makespan, metrics[1].makespan) << name;
@@ -299,12 +299,13 @@ TEST(SeedDeterminism, SemiMarkovSlotSkippingLeavesActionTracesUnchanged) {
                 << name << " proc " << q;
         }
         EXPECT_TRUE(same_trace(traces[0], traces[1]))
-            << name << ": semi-Markov slot-skipping changed the action trace";
+            << name << ": semi-Markov dead-slot elision changed the action "
+                       "trace";
         skipped_total += metrics[1].dead_slots_skipped;
     }
     EXPECT_GT(skipped_total, 0)
-        << "fleet never exercised the dead-stretch fast-forward; absences "
-           "too short for the test to be meaningful";
+        << "fleet never exercised the event core's dead-stretch elision; "
+           "absences too short for the test to be meaningful";
 }
 
 TEST(SeedDeterminism, HeuristicsShareTheAvailabilityRealization) {
