@@ -1,12 +1,16 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <queue>
 #include <stdexcept>
 
 #include "ckpt/policy.hpp"
 #include "markov/expectation.hpp"
+#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "util/rng.hpp"
 
@@ -33,11 +37,12 @@ struct Instance {
 };
 
 /// Runtime protocol state of the whole fleet, stored as structure-of-arrays:
-/// one parallel vector per field, indexed by processor, so the per-slot
-/// sweeps (state advancement, scheduler-view builds, compute advancement)
-/// read contiguous memory instead of striding over an array-of-structs.
-/// The platform's speed vector (`Platform::w`) and the RLE trace cursors
-/// are the remaining per-worker parallels, owned by their own containers.
+/// one parallel vector per field, indexed by processor.  The per-slot
+/// phases do not sweep these columns end to end: they visit only the
+/// members of the Runner's UP and holder sets (WorkerSet below), so a
+/// slot's cost follows the workers that are present or busy, not P.  The
+/// platform's speed vector (`Platform::w`) and the RLE trace cursors are
+/// the remaining per-worker parallels, owned by their own containers.
 /// `operator[]` bundles one worker's fields as references — call sites keep
 /// the old `w.field` spelling while every load/store still hits the
 /// per-field array.
@@ -136,6 +141,62 @@ struct WorkerSoA {
     }
 };
 
+/// A set of processor indices, one bit per worker, walked in ascending
+/// index order.  Membership updates are O(1); a walk costs one word load
+/// per 64 workers plus one step per member.  next() reads the live bits, so
+/// a walk sees removals and insertions ahead of its position — the same
+/// view a plain 0..P-1 sweep would have.
+class WorkerSet {
+public:
+    void reset(int procs) {
+        words_.assign((static_cast<std::size_t>(procs) + 63) / 64, 0);
+    }
+    void assign(int q, bool member) noexcept {
+        if (member) words_[word(q)] |= bit(q);
+        else words_[word(q)] &= ~bit(q);
+    }
+    /// Adds every member of `o` (same capacity).
+    void merge(const WorkerSet& o) noexcept {
+        for (std::size_t i = 0; i < words_.size(); ++i)
+            words_[i] |= o.words_[i];
+    }
+    void clear() noexcept { std::fill(words_.begin(), words_.end(), 0); }
+    [[nodiscard]] int size() const noexcept {
+        int n = 0;
+        for (const std::uint64_t w : words_) n += std::popcount(w);
+        return n;
+    }
+    bool operator==(const WorkerSet& o) const { return words_ == o.words_; }
+
+    /// First member >= `from` of this set, intersected with `mask` when
+    /// given; -1 when there is none.
+    [[nodiscard]] int next(int from, const WorkerSet* mask = nullptr) const
+        noexcept {
+        std::size_t i = word(from);
+        if (i >= words_.size()) return -1;
+        std::uint64_t bits = live(i, mask) & (~std::uint64_t{0} << (from & 63));
+        while (bits == 0) {
+            if (++i == words_.size()) return -1;
+            bits = live(i, mask);
+        }
+        return static_cast<int>(i * 64) + std::countr_zero(bits);
+    }
+
+private:
+    static std::size_t word(int q) noexcept {
+        return static_cast<std::size_t>(q) >> 6;
+    }
+    static std::uint64_t bit(int q) noexcept {
+        return std::uint64_t{1} << (q & 63);
+    }
+    [[nodiscard]] std::uint64_t live(std::size_t i,
+                                     const WorkerSet* mask) const noexcept {
+        return mask ? words_[i] & mask->words_[i] : words_[i];
+    }
+
+    std::vector<std::uint64_t> words_;
+};
+
 /// Per-logical-task checkpoint committed at the master: `done` compute
 /// slots on the scale of the snapshotting worker's `w`.  A restart on a
 /// worker with speed w' is credited floor(done * w' / w) slots.
@@ -189,12 +250,21 @@ public:
     Runner(const Platform& platform, markov::RealizedTraces& traces,
            const std::vector<markov::MarkovChain>& beliefs,
            const EngineConfig& config, std::uint64_t seed)
-        : pf_(platform), config_(config) {
+        : pf_(platform), config_(config), traces_(&traces) {
         const int p = pf_.size();
         workers_.resize(p);
+        up_.reset(p);
+        holders_.reset(p);
+        views_.resize(static_cast<std::size_t>(p));
+        stale_views_.reset(p);
+        for (int q = 0; q < p; ++q) stale_views_.assign(q, true);
         cursors_.reserve(p);
         for (int q = 0; q < p; ++q)
             cursors_.emplace_back(traces.trace(q));
+        // Every worker is consulted at slot 0.
+        change_at_.assign(static_cast<std::size_t>(p), 0);
+        change_capped_.assign(static_cast<std::size_t>(p), 0);
+        for (int q = 0; q < p; ++q) change_queue_.push({0, q});
         sched_rng_ = util::Rng(util::mix_seed(seed, 0x53434845ULL));
         beliefs_ = beliefs.empty() ? nullptr : &beliefs;
     }
@@ -232,9 +302,8 @@ public:
                 }
             }
             slot_ = t;
+            ++work_.slots_stepped;
             if (config_.actions) config_.actions->next_slot();
-            std::fill(slot_flags_.begin(), slot_flags_.end(),
-                      static_cast<std::uint8_t>(0));
             advance_states(t);
             int budget = pf_.ncom;
             transfers_this_slot_ = 0;
@@ -246,12 +315,16 @@ public:
             if (config_.audit) audit_bandwidth();
             record_timeline();
             const bool finished = end_of_slot(t);
-            if (config_.audit) audit_invariants();
+            if (config_.audit) {
+                audit_invariants();
+                audit_worker_sets();
+            }
             if (finished) {
                 metrics_.completed = true;
                 metrics_.makespan = t + 1;
                 metrics_.iterations_completed = config_.iterations;
                 if (config_.tracer) config_.tracer->end_run(t + 1);
+                publish_work();
                 return metrics_;
             }
             ++t;
@@ -260,6 +333,7 @@ public:
         metrics_.makespan = config_.max_slots;
         metrics_.iterations_completed = iterations_done_;
         if (config_.tracer) config_.tracer->end_run(config_.max_slots);
+        publish_work();
         return metrics_;
     }
 
@@ -286,24 +360,78 @@ private:
 
     // ---- slot phases --------------------------------------------------
 
+    /// Phase 1.  Only workers whose cached change slot has come up are
+    /// consulted (in index order, so events keep the sweep's order); every
+    /// other worker provably holds its state.
     void advance_states(long long t) {
-        up_count_ = 0;
-        for (int q = 0; q < pf_.size(); ++q) {
-            const ProcState prev = workers_[q].state;
-            const ProcState next = cursors_[q].state_at(t);
-            workers_[q].state = next;
-            if (next == ProcState::Up) {
-                ++metrics_.per_proc[q].up_slots;
-                ++up_count_;
-            }
-            if (t == 0 || next != prev)
-                emit(EventKind::StateChange, q, -1, false, next);
-            if (next == ProcState::Down &&
-                (t == 0 || prev != ProcState::Down)) {
+        changed_.clear();
+        while (!change_queue_.empty() && change_queue_.top().first <= t) {
+            changed_.push_back(change_queue_.top().second);
+            change_queue_.pop();
+        }
+        std::sort(changed_.begin(), changed_.end());
+        for (const ProcId q : changed_) {
+            ++work_.worker_visits;
+            const ProcState prev = workers_.state[q];
+            const ProcState next = consult(q, t);
+            if (t > 0 && next == prev) continue;
+            workers_.state[q] = next;
+            up_.assign(q, next == ProcState::Up);
+            stale_views_.assign(q, true);
+            emit(EventKind::StateChange, q, -1, false, next);
+            // Past slot 0 a change to DOWN means the worker was not DOWN.
+            if (next == ProcState::Down) {
                 ++metrics_.down_events;
                 ++metrics_.per_proc[q].down_events;
                 handle_down(q);
             }
+        }
+        up_count_ = up_.size();
+        for (int q = next_up(0); q >= 0; q = next_up(q + 1))
+            ++metrics_.per_proc[q].up_slots;
+    }
+
+    /// Reads worker q's state at slot t and re-arms its change cache: the
+    /// end of the RLE segment holding t, looked up at most
+    /// kChangeLookahead slots ahead so that an open frontier segment is not
+    /// sampled out to max_slots.  A capped entry only means "consult again
+    /// then"; next_state_change() extends it when it bounds a horizon.
+    ProcState consult(ProcId q, long long t) {
+        const ProcState state = cursors_[q].state_at(t);
+        const long long limit =
+            config_.max_slots - t > kChangeLookahead ? t + kChangeLookahead
+                                                     : config_.max_slots;
+        arm_change(q, cursors_[q].next_change_at(t, limit), limit);
+        work_.cursor_queries += 2;
+        return state;
+    }
+
+    void arm_change(ProcId q, long long change, long long limit) {
+        change_at_[q] = change;
+        change_capped_[q] = change == limit && change < config_.max_slots;
+        change_queue_.push({change, q});
+    }
+
+    /// The first slot at which some worker's state differs from the state
+    /// it held when last consulted (capped at max_slots): the minimum of
+    /// the cached segment ends, with capped entries at the front of the
+    /// queue re-read, doubling their lookahead, until the minimum is a true
+    /// segment end.  `t` is the next slot to simulate.
+    long long next_state_change(long long t) {
+        for (;;) {
+            const auto [change, q] = change_queue_.top();
+            if (change >= config_.max_slots) return config_.max_slots;
+            if (!change_capped_[q]) return change;
+            change_queue_.pop();
+            // The state holds through change - 1, which still lies in the
+            // segment the cursor is on.
+            const long long reach = std::max(kChangeLookahead, change - t);
+            const long long limit = config_.max_slots - change > reach
+                                        ? change + reach
+                                        : config_.max_slots;
+            arm_change(q, cursors_[q].next_change_at(change - 1, limit),
+                       limit);
+            ++work_.cursor_queries;
         }
     }
 
@@ -331,7 +459,7 @@ private:
                         "audit: dead-slot skip with a pending checkpoint "
                         "commit");
                 for (long long s = from; s < to; ++s)
-                    if (cursors_[q].state_at(s) != w.state)
+                    if (traces_->trace(q).state_at(s) != w.state)
                         throw std::logic_error(
                             "audit: dead-slot skip crossed a state change");
             }
@@ -354,27 +482,18 @@ private:
     /// realization starts with every worker DOWN or RECLAIMED, slot 0's
     /// only observable work is the initial StateChange emission and the
     /// DOWN accounting (nothing is committed yet, so handle_down has
-    /// nothing to release).  Perform exactly that bookkeeping, then skip
-    /// the stretch.  Returns false when some
-    /// worker starts UP (the normal loop then runs slot 0).
+    /// nothing to release) — phase 1 alone.  Run it, then skip the
+    /// stretch.  Returns false when some worker starts UP (the normal loop
+    /// then runs slot 0).
     bool try_skip_initial_dead(long long& t) {
-        for (int q = 0; q < pf_.size(); ++q)
-            if (cursors_[q].state_at(0) == ProcState::Up) return false;
-        long long change = config_.max_slots;
-        for (int q = 0; q < pf_.size(); ++q)
-            change = std::min(change, cursors_[q].next_change_at(0, change));
-        slot_ = 0;
-        up_count_ = 0;
         for (int q = 0; q < pf_.size(); ++q) {
-            const ProcState st = cursors_[q].state_at(0);
-            workers_[q].state = st;
-            emit(EventKind::StateChange, q, -1, false, st);
-            if (st == ProcState::Down) {
-                ++metrics_.down_events;
-                ++metrics_.per_proc[q].down_events;
-                handle_down(q);
-            }
+            ++work_.worker_visits;
+            ++work_.cursor_queries;
+            if (cursors_[q].state_at(0) == ProcState::Up) return false;
         }
+        slot_ = 0;
+        advance_states(0);
+        const long long change = next_state_change(0);
         skip_dead_range(0, change);
         metrics_.slots_elided += change;
         t = change;
@@ -402,9 +521,8 @@ private:
         // without knowing the FIFO order.
         int in_flight = 0;
         int min_rem = std::numeric_limits<int>::max();
-        for (int q = 0; q < pf_.size(); ++q) {
+        for (int q = next_up_holder(0); q >= 0; q = next_up_holder(q + 1)) {
             const auto w = workers_[q];
-            if (w.state != ProcState::Up) continue;
             if (w.prog_in_flight && w.prog_remaining > 0) {
                 ++in_flight;
                 min_rem = std::min(min_rem, w.prog_remaining);
@@ -431,11 +549,10 @@ private:
         // A deferred data start (phase 2b) acts as soon as bandwidth is
         // free — or instantly when data is free.
         if (budget > 0 || pf_.t_data == 0) {
-            for (int q = 0; q < pf_.size(); ++q) {
+            for (int q = next_up_holder(0); q >= 0;
+                 q = next_up_holder(q + 1)) {
                 const auto w = workers_[q];
-                if (w.state != ProcState::Up || !w.has_program ||
-                    w.staged == -1)
-                    continue;
+                if (!w.has_program || w.staged == -1) continue;
                 const Instance& inst = instances_[w.staged];
                 if (!inst.data_started && !inst.data_done) return t;
             }
@@ -446,12 +563,9 @@ private:
         // Availability transitions: worker states at t must equal the
         // states held since slot t-1, and the stretch ends where the first
         // RLE segment does.
-        for (int q = 0; q < pf_.size(); ++q) {
-            const long long change =
-                cursors_[q].next_change_at(t - 1, next.slot);
-            if (change <= t) return t;
-            next.push(change, EventCause::StateChange);
-        }
+        const long long change = next_state_change(t);
+        if (change <= t) return t;
+        next.push(change, EventCause::StateChange);
 
         // Transfer completions: each advancing transfer drains to zero —
         // and must be simulated — in slot t + remaining - 1.  min_rem is a
@@ -469,11 +583,10 @@ private:
         // advancement.
         if (config_.checkpoint &&
             (config_.checkpoint_cost == 0 || budget > 0)) {
-            for (int q = 0; q < pf_.size(); ++q) {
+            for (int q = next_up_holder(0); q >= 0;
+                 q = next_up_holder(q + 1)) {
                 const auto w = workers_[q];
-                if (w.state != ProcState::Up || w.computing == -1 ||
-                    w.ckpt_in_flight)
-                    continue;
+                if (w.computing == -1 || w.ckpt_in_flight) continue;
                 // A worker with since_ckpt == 0 is first consulted one
                 // slot later (after one slot of the stretch has computed).
                 const int lead = w.since_ckpt > 0 ? 0 : 1;
@@ -496,11 +609,9 @@ private:
 
         // Compute completions: an advancing computation drains to zero —
         // and completes — in slot t + remaining - 1.
-        for (int q = 0; q < pf_.size(); ++q) {
+        for (int q = next_up_holder(0); q >= 0; q = next_up_holder(q + 1)) {
             const auto w = workers_[q];
-            if (w.state != ProcState::Up || w.computing == -1 ||
-                w.ckpt_in_flight)
-                continue;
+            if (w.computing == -1 || w.ckpt_in_flight) continue;
             if (w.compute_remaining <= 1) return t;
             next.push(t + w.compute_remaining - 1, EventCause::Compute);
         }
@@ -573,16 +684,14 @@ private:
     /// when its decision inputs could drift across an otherwise-steady
     /// stretch (an idle UP worker's in-flight program download drains,
     /// shrinking the best idle alternative slot by slot).
-    [[nodiscard]] bool proactive_would_act() const {
+    [[nodiscard]] bool proactive_would_act() {
         if (config_.plan_class != SchedulerClass::Proactive || !beliefs_)
             return false;
         double best_alt = std::numeric_limits<double>::infinity();
         bool drifting = false;
-        for (int q = 0; q < pf_.size(); ++q) {
+        for (int q = next_up(0); q >= 0; q = next_up(q + 1)) {
             const auto w = workers_[q];
-            if (w.state != ProcState::Up || w.staged != -1 ||
-                w.computing != -1)
-                continue;
+            if (w.staged != -1 || w.computing != -1) continue;
             if (!w.has_program && w.prog_in_flight) drifting = true;
             const double need =
                 (w.has_program
@@ -594,7 +703,7 @@ private:
                 best_alt, markov::e_workload((*beliefs_)[q].matrix(), need));
         }
         if (std::isinf(best_alt)) return false;
-        for (int q = 0; q < pf_.size(); ++q) {
+        for (int q = next_holder(0); q >= 0; q = next_holder(q + 1)) {
             const auto w = workers_[q];
             if (w.state != ProcState::Reclaimed) continue;
             if (w.staged == -1 && w.computing == -1) continue;
@@ -624,21 +733,19 @@ private:
         if (config_.audit) audit_steady_range(from, to);
         const int advancing =
             std::min(pf_.ncom, static_cast<int>(active_.size()));
-        ff_recv_.assign(static_cast<std::size_t>(pf_.size()), kNoAction);
-        ff_compute_.assign(static_cast<std::size_t>(pf_.size()), kNoAction);
-        std::fill(slot_flags_.begin(), slot_flags_.end(),
-                  static_cast<std::uint8_t>(0));
+        ff_recv_.clear();
+        ff_compute_.clear();
         for (int i = 0; i < advancing; ++i) {
             const ActiveTransfer& tr = active_[i];
             auto w = workers_[tr.proc];
             if (tr.kind == TransferKind::Prog) {
                 w.prog_remaining -= static_cast<int>(n);
                 slot_flags_[tr.proc] |= kFlagProg;
-                ff_recv_[tr.proc] = -2;
+                ff_recv_.push_back({tr.proc, -2});
             } else if (tr.kind == TransferKind::Data) {
                 instances_[w.staged].data_remaining -= static_cast<int>(n);
                 slot_flags_[tr.proc] |= kFlagData;
-                ff_recv_[tr.proc] = instances_[w.staged].logical;
+                ff_recv_.push_back({tr.proc, instances_[w.staged].logical});
             } else {
                 w.ckpt_remaining -= static_cast<int>(n);
                 slot_flags_[tr.proc] |= kFlagCkpt;
@@ -648,9 +755,8 @@ private:
             metrics_.per_proc[tr.proc].transfer_slots += n;
             metrics_.transfer_slots += n;
         }
-        for (int q = 0; q < pf_.size(); ++q) {
+        for (int q = next_up(0); q >= 0; q = next_up(q + 1)) {
             auto w = workers_[q];
-            if (w.state != ProcState::Up) continue;
             metrics_.per_proc[q].up_slots += n;
             if (w.computing == -1 || w.ckpt_in_flight) continue;
             w.compute_remaining -= static_cast<int>(n);
@@ -658,7 +764,7 @@ private:
             metrics_.compute_slots += n;
             metrics_.per_proc[q].compute_slots += n;
             slot_flags_[q] |= kFlagCompute;
-            ff_compute_[q] = instances_[w.computing].logical;
+            ff_compute_.push_back({q, instances_[w.computing].logical});
         }
         metrics_.slots_elided += n;
         if (up_count_ == 0) metrics_.dead_slots_skipped += n;
@@ -685,15 +791,16 @@ private:
                     config_.timeline->record(q, code);
             }
         }
+        // Every flag above went to a holder.
+        for (int q = next_holder(0); q >= 0; q = next_holder(q + 1))
+            slot_flags_[q] = 0;
         if (config_.actions) {
             for (long long s = from; s < to; ++s) {
                 config_.actions->next_slot();
-                for (int q = 0; q < pf_.size(); ++q) {
-                    if (ff_recv_[q] != kNoAction)
-                        config_.actions->set_recv(q, ff_recv_[q]);
-                    if (ff_compute_[q] != kNoAction)
-                        config_.actions->set_compute(q, ff_compute_[q]);
-                }
+                for (const auto& [q, value] : ff_recv_)
+                    config_.actions->set_recv(q, value);
+                for (const auto& [q, task] : ff_compute_)
+                    config_.actions->set_compute(q, task);
             }
         }
     }
@@ -706,7 +813,7 @@ private:
         for (int q = 0; q < pf_.size(); ++q) {
             const auto w = workers_[q];
             for (long long s = from; s < to; ++s)
-                if (cursors_[q].state_at(s) != w.state)
+                if (traces_->trace(q).state_at(s) != w.state)
                     throw std::logic_error(
                         "audit: event elision crossed a state change");
         }
@@ -780,6 +887,7 @@ private:
                  instances_[w.computing].kind == InstKind::Replica);
             release_instance(w.computing, /*to_pool=*/true);
         }
+        sync_holder(q);
         // Sticky plans targeting a crashed processor are invalidated.
         if (config_.plan_class == SchedulerClass::Passive) {
             for (auto& inst : instances_)
@@ -831,6 +939,7 @@ private:
             w.staged = -1;
             w.data_start = -1;
         }
+        sync_holder(q);
         inst.proc = kNoProc;
         inst.planned = kNoProc;
         inst.plan_seq = -1;
@@ -857,9 +966,8 @@ private:
     /// that only simulated slots change, every slot of a steady stretch.
     void build_active() {
         active_.clear();
-        for (int q = 0; q < pf_.size(); ++q) {
+        for (int q = next_up_holder(0); q >= 0; q = next_up_holder(q + 1)) {
             const auto w = workers_[q];
-            if (w.state != ProcState::Up) continue;
             if (w.prog_in_flight && w.prog_remaining > 0)
                 active_.push_back({w.prog_start, q, TransferKind::Prog});
             if (w.staged != -1) {
@@ -917,11 +1025,9 @@ private:
     /// policy that never fires (`none`) leaves the run bit-identical.
     void start_checkpoints(long long t, int& budget) {
         if (!config_.checkpoint) return;
-        for (int q = 0; q < pf_.size(); ++q) {
+        for (int q = next_up_holder(0); q >= 0; q = next_up_holder(q + 1)) {
             auto w = workers_[q];
-            if (w.state != ProcState::Up || w.computing == -1 ||
-                w.ckpt_in_flight)
-                continue;
+            if (w.computing == -1 || w.ckpt_in_flight) continue;
             if (w.since_ckpt <= 0 || w.compute_remaining <= 0) continue;
             ckpt::CheckpointView view;
             view.belief = beliefs_ ? &(*beliefs_)[q] : nullptr;
@@ -986,10 +1092,9 @@ private:
     /// waiting behind their worker's program download (FIFO by commit time).
     void start_pending_data(long long t, int& budget) {
         pending_.clear();
-        for (int q = 0; q < pf_.size(); ++q) {
+        for (int q = next_up_holder(0); q >= 0; q = next_up_holder(q + 1)) {
             const auto w = workers_[q];
-            if (w.state != ProcState::Up || !w.has_program || w.staged == -1)
-                continue;
+            if (!w.has_program || w.staged == -1) continue;
             const Instance& inst = instances_[w.staged];
             if (!inst.data_started && !inst.data_done)
                 pending_.push_back(q);
@@ -1044,12 +1149,8 @@ private:
             pool_.push_back(id);
         }
 
-        int up_count = 0;
-        for (const ProcState s : workers_.state)
-            if (s == ProcState::Up) ++up_count;
-
         const bool may_replicate =
-            config_.replica_cap > 0 && up_count > remaining_logical_;
+            config_.replica_cap > 0 && up_count_ > remaining_logical_;
         const bool must_plan =
             std::any_of(pool_.begin(), pool_.end(),
                         [this](int id) {
@@ -1057,21 +1158,19 @@ private:
                         }) ||
             may_replicate;
         if (pool_.empty() && !may_replicate) return;
-        if (up_count == 0) return;
+        if (up_count_ == 0) return;
 
-        // Build the heuristic's snapshot: one sweep over the SoA columns
-        // the scoring loops read (state, staged, speed), contiguous per
-        // field.
-        views_.resize(static_cast<std::size_t>(pf_.size()));
-        for (int q = 0; q < pf_.size(); ++q) {
-            ProcView& v = views_[q];
-            v.state = workers_.state[q];
-            v.has_program = workers_.has_program[q] != 0;
-            v.buffer_free = (workers_.staged[q] == -1);
-            v.w = pf_.w[q];
-            v.delay = delay_of(q);
-            v.belief = beliefs_ ? &(*beliefs_)[q] : nullptr;
-        }
+        // Bring the heuristic's snapshot up to date.  A view can only have
+        // moved for a holder (its counters advance every slot) or for a
+        // worker marked stale since the last round (a state change, a
+        // holder-set entry or exit, a free enrolment); every other view is
+        // still exact.
+        stale_views_.merge(holders_);
+        for (int q = visit(stale_views_.next(0)); q >= 0;
+             q = visit(stale_views_.next(q + 1)))
+            views_[q] = view_of(q);
+        stale_views_.clear();
+        if (config_.audit) audit_views();
         SchedView view;
         view.platform = &pf_;
         view.procs = views_;
@@ -1080,7 +1179,6 @@ private:
         view.remaining_tasks = static_cast<int>(pool_.size());
 
         nq_.assign(static_cast<std::size_t>(pf_.size()), 0);
-        plan_order_.clear();
         replica_plan_.clear();
 
         if (must_plan) {
@@ -1089,8 +1187,8 @@ private:
             sched.begin_round(view);
 
             eligible_.clear();
-            for (int q = 0; q < pf_.size(); ++q)
-                if (workers_[q].state == ProcState::Up) eligible_.push_back(q);
+            for (int q = next_up(0); q >= 0; q = next_up(q + 1))
+                eligible_.push_back(q);
 
             // 1. Original tasks, in logical order, one by one.  A processor
             // already holding a live sibling of the task is excluded
@@ -1189,11 +1287,9 @@ private:
         // Best idle-alternative expected pipeline: program (if missing) +
         // data + compute, inflated by expected RECLAIMED detours.
         double best_alt = std::numeric_limits<double>::infinity();
-        for (int q = 0; q < pf_.size(); ++q) {
+        for (int q = next_up(0); q >= 0; q = next_up(q + 1)) {
             const auto w = workers_[q];
-            if (w.state != ProcState::Up || w.staged != -1 ||
-                w.computing != -1)
-                continue;
+            if (w.staged != -1 || w.computing != -1) continue;
             const double need =
                 (w.has_program
                      ? 0.0
@@ -1206,7 +1302,7 @@ private:
         }
         if (std::isinf(best_alt)) return;
 
-        for (int q = 0; q < pf_.size(); ++q) {
+        for (int q = next_holder(0); q >= 0; q = next_holder(q + 1)) {
             auto w = workers_[q];
             if (w.state != ProcState::Reclaimed) continue;
             if (w.staged == -1 && w.computing == -1) continue;
@@ -1274,6 +1370,7 @@ private:
             // will follow once the program is complete.
             if (pf_.t_prog == 0) {
                 w.has_program = true;
+                stale_views_.assign(q, true);
                 return try_commit(id, q, t, budget);
             }
             if (budget == 0) return false;
@@ -1302,12 +1399,13 @@ private:
         inst.proc = q;
         inst.commit_slot = t;
         workers_[q].staged = id;
+        sync_holder(q);
     }
 
     void advance_compute() {
-        for (int q = 0; q < pf_.size(); ++q) {
+        for (int q = next_up_holder(0); q >= 0; q = next_up_holder(q + 1)) {
             auto w = workers_[q];
-            if (w.state != ProcState::Up || w.computing == -1) continue;
+            if (w.computing == -1) continue;
             // Computation pauses while the worker's snapshot uploads — the
             // classic checkpoint overhead the policies must amortize.
             if (w.ckpt_in_flight) continue;
@@ -1347,13 +1445,18 @@ private:
     /// Phase 4: completions, promotions, iteration boundary.  Returns true
     /// when the final iteration finished during this slot.
     bool end_of_slot(long long t) {
-        for (int q = 0; q < pf_.size(); ++q) {
+        // Only holders carry activity flags (every flagged worker got them
+        // from a transfer or computation it holds), so this sweep also
+        // clears the flags record_timeline has consumed.
+        for (int q = next_holder(0); q >= 0; q = next_holder(q + 1)) {
             auto w = workers_[q];
+            slot_flags_[q] = 0;
             if (w.prog_in_flight && w.prog_remaining == 0) {
                 w.prog_in_flight = false;
                 w.has_program = true;
                 w.prog_start = -1;
                 emit(EventKind::ProgComplete, q);
+                sync_holder(q);
             }
             if (w.staged != -1) {
                 Instance& inst = instances_[w.staged];
@@ -1377,13 +1480,13 @@ private:
             }
         }
         // Task completions (may cancel siblings staged on other workers).
-        for (int q = 0; q < pf_.size(); ++q) {
+        for (int q = next_holder(0); q >= 0; q = next_holder(q + 1)) {
             auto w = workers_[q];
             if (w.computing == -1 || w.compute_remaining > 0) continue;
             complete_instance(w.computing);
         }
         // Promotions: a data-complete staged task starts computing next slot.
-        for (int q = 0; q < pf_.size(); ++q) {
+        for (int q = next_holder(0); q >= 0; q = next_holder(q + 1)) {
             auto w = workers_[q];
             if (w.computing != -1 || w.staged == -1) continue;
             Instance& inst = instances_[w.staged];
@@ -1434,6 +1537,7 @@ private:
         w.since_ckpt = 0;
         w.compute_credit = 0;
         w.ckpt_committed = 0;
+        sync_holder(inst.proc);
         logical_done_[inst.logical] = true;
         --logical_live_[inst.logical];
         --remaining_logical_;
@@ -1465,9 +1569,9 @@ private:
     static constexpr std::uint8_t kFlagCompute = 4;
     static constexpr std::uint8_t kFlagCkpt = 8;
 
-    /// "No recorded action" sentinel for the fast-forward back-fill (-2 is
-    /// the action trace's program marker, >= 0 a logical task).
-    static constexpr int kNoAction = -3;
+    /// How far ahead consult() looks for the end of a worker's current
+    /// availability segment (see next_state_change for longer horizons).
+    static constexpr long long kChangeLookahead = 1024;
 
     /// Shortest inert stretch worth a fast_forward (below it, the closed-
     /// form setup costs more than stepping the slots; dead stretches are
@@ -1478,6 +1582,40 @@ private:
     /// steady_horizon call that fell under kMinJump; they step through the
     /// normal phases without re-running the prediction.
     long long known_inert_until_ = 0;
+
+    // ---- worker sets ---------------------------------------------------
+
+    /// Walks of the UP set, the holder set and their intersection: the
+    /// first member >= `from`, or -1.  Each step counts one worker visit.
+    int next_up(int from) { return visit(up_.next(from)); }
+    int next_holder(int from) { return visit(holders_.next(from)); }
+    int next_up_holder(int from) { return visit(holders_.next(from, &up_)); }
+    int visit(int q) {
+        if (q >= 0) ++work_.worker_visits;
+        return q;
+    }
+
+    /// A holder has something in flight on its pipeline: a program
+    /// download, a staged or computing instance, or a checkpoint upload.
+    [[nodiscard]] bool holds_work(ProcId q) const {
+        const auto w = workers_[q];
+        return w.prog_in_flight || w.staged != -1 || w.computing != -1 ||
+               w.ckpt_in_flight;
+    }
+    void sync_holder(ProcId q) {
+        holders_.assign(q, holds_work(q));
+        stale_views_.assign(q, true);
+    }
+
+    /// Adds the run's work counters to the installed metrics registry, if
+    /// any (once per run: nothing is counted through atomics per slot).
+    void publish_work() const {
+        obs::Registry* const reg = obs::Registry::active();
+        if (!reg) return;
+        reg->counter("sim.worker_visits").add(work_.worker_visits);
+        reg->counter("sim.cursor_queries").add(work_.cursor_queries);
+        reg->counter("sim.slots_stepped").add(work_.slots_stepped);
+    }
 
     void record_recv(ProcId q, int value) {
         if (config_.actions) config_.actions->set_recv(q, value);
@@ -1598,6 +1736,30 @@ private:
         }
     }
 
+    [[nodiscard]] ProcView view_of(ProcId q) const {
+        ProcView v;
+        v.state = workers_.state[q];
+        v.has_program = workers_.has_program[q] != 0;
+        v.buffer_free = (workers_.staged[q] == -1);
+        v.w = pf_.w[q];
+        v.delay = delay_of(q);
+        v.belief = beliefs_ ? &(*beliefs_)[q] : nullptr;
+        return v;
+    }
+
+    /// Audit-mode check that the incrementally refreshed snapshot equals a
+    /// from-scratch build.
+    void audit_views() const {
+        for (int q = 0; q < pf_.size(); ++q) {
+            const ProcView fresh = view_of(q);
+            const ProcView& v = views_[q];
+            if (v.state != fresh.state || v.has_program != fresh.has_program ||
+                v.buffer_free != fresh.buffer_free || v.w != fresh.w ||
+                v.delay != fresh.delay || v.belief != fresh.belief)
+                throw std::logic_error("audit: scheduler view drift");
+        }
+    }
+
     /// Delay(q) of Section 6.3.1: remaining program + committed data +
     /// committed compute (plus an in-flight checkpoint upload, which blocks
     /// the compute pipeline), assuming the worker stays UP, contention-free.
@@ -1623,17 +1785,59 @@ private:
     }
 
     /// True when some pool instance of `logical` is already planned on q.
+    /// The pool only ever holds originals, and the original of logical
+    /// task i is instances_[i] (audit_invariants checks both), so this is
+    /// one lookup rather than a scan of the pool.
     [[nodiscard]] bool plans_logical(ProcId q, int logical) const {
-        for (int id : pool_) {
-            const Instance& inst = instances_[id];
-            if (inst.logical == logical && inst.planned == q) return true;
-        }
-        return false;
+        const Instance& inst = instances_[logical];
+        return inst.status == InstStatus::Pool && inst.planned == q;
     }
 
     void audit_bandwidth() const {
         if (transfers_this_slot_ > pf_.ncom)
             throw std::logic_error("audit: bandwidth bound exceeded");
+    }
+
+    /// Audit-mode rebuild of the incremental stepping state from scratch:
+    /// the UP and holder sets from the worker columns, and the change cache
+    /// from the realized traces (each cached slot must be the end of the
+    /// worker's current segment, or a lookahead cap inside it, and the
+    /// queue must hold exactly one entry per worker at that slot).  Also
+    /// checks that no activity flag outlives its slot.
+    void audit_worker_sets() const {
+        WorkerSet up, holders;
+        up.reset(pf_.size());
+        holders.reset(pf_.size());
+        for (int q = 0; q < pf_.size(); ++q) {
+            up.assign(q, workers_.state[q] == ProcState::Up);
+            holders.assign(q, holds_work(q));
+            if (slot_flags_[q] != 0)
+                throw std::logic_error("audit: activity flag left set");
+        }
+        if (!(up == up_) || up_.size() != up_count_)
+            throw std::logic_error("audit: UP set drift");
+        if (!(holders == holders_))
+            throw std::logic_error("audit: holder set drift");
+        for (int q = 0; q < pf_.size(); ++q) {
+            const auto& segs = traces_->trace(q).segments();
+            const auto seg = std::upper_bound(
+                segs.begin(), segs.end(), slot_,
+                [](long long s, const auto& g) { return s < g.end; });
+            const long long c = change_at_[q];
+            const bool exact = !change_capped_[q] && c < config_.max_slots;
+            if (seg == segs.end() || seg->state != workers_.state[q] ||
+                c <= slot_ || (exact ? seg->end != c : seg->end < c))
+                throw std::logic_error("audit: change cache drift");
+        }
+        auto queue = change_queue_;
+        std::vector<int> seen(static_cast<std::size_t>(pf_.size()), 0);
+        for (; !queue.empty(); queue.pop()) {
+            const auto [c, q] = queue.top();
+            if (c != change_at_[q] || seen[q]++ != 0)
+                throw std::logic_error("audit: change queue drift");
+        }
+        if (std::find(seen.begin(), seen.end(), 0) != seen.end())
+            throw std::logic_error("audit: change queue drift");
     }
 
     void audit_invariants() const {
@@ -1644,10 +1848,19 @@ private:
             live_from_counts += logical_live_[lt];
         }
         int live_scan = 0;
-        for (const auto& inst : instances_)
+        for (int id = 0; id < static_cast<int>(instances_.size()); ++id) {
+            const Instance& inst = instances_[id];
             if (inst.status == InstStatus::Pool ||
                 inst.status == InstStatus::Committed)
                 ++live_scan;
+            if ((id < config_.tasks_per_iteration) !=
+                    (inst.kind == InstKind::Original) ||
+                (inst.kind == InstKind::Original && inst.logical != id))
+                throw std::logic_error("audit: original not at its index");
+            if (inst.status == InstStatus::Pool &&
+                inst.kind != InstKind::Original)
+                throw std::logic_error("audit: replica in the pool");
+        }
         if (live_scan != live_from_counts)
             throw std::logic_error("audit: live-instance count drift");
         for (int q = 0; q < pf_.size(); ++q) {
@@ -1717,7 +1930,28 @@ private:
     const std::vector<markov::MarkovChain>* beliefs_ = nullptr;
 
     WorkerSoA workers_;
-    int up_count_ = 0;
+    WorkerSet up_;      ///< workers in state UP (maintained by phase 1)
+    WorkerSet holders_; ///< workers for which holds_work() is true
+    /// Workers whose views_ entry may be out of date (holders always are).
+    WorkerSet stale_views_;
+    int up_count_ = 0;  ///< up_.size(), as of the current slot
+    markov::RealizedTraces* traces_; ///< the replayed realization (audit)
+    /// Availability change cache: the slot at which each worker's cursor
+    /// must next be consulted, whether that slot is a lookahead cap rather
+    /// than a segment end, and a min-queue holding one (slot, worker)
+    /// entry per worker.
+    std::vector<long long> change_at_;
+    std::vector<std::uint8_t> change_capped_;
+    std::priority_queue<std::pair<long long, ProcId>,
+                        std::vector<std::pair<long long, ProcId>>,
+                        std::greater<>>
+        change_queue_;
+    /// Deterministic work counters, published once per run.
+    struct {
+        long long worker_visits = 0;
+        long long cursor_queries = 0;
+        long long slots_stepped = 0;
+    } work_;
     std::vector<Instance> instances_;
     std::vector<TaskCheckpoint> ckpt_store_; ///< per logical task, per iter
     std::vector<bool> logical_done_;
@@ -1742,9 +1976,11 @@ private:
     std::vector<int> commit_order_;
     std::vector<std::pair<int, ProcId>> replica_plan_;
     std::vector<int> planned_logical_;
-    std::vector<int> plan_order_;
-    std::vector<int> ff_recv_;    ///< fast-forward: constant recv per proc
-    std::vector<int> ff_compute_; ///< fast-forward: constant compute per proc
+    std::vector<ProcId> changed_; ///< phase 1: workers consulted this slot
+    /// fast-forward: each slot's constant (worker, recv) and
+    /// (worker, compute) actions
+    std::vector<std::pair<ProcId, int>> ff_recv_;
+    std::vector<std::pair<ProcId, int>> ff_compute_;
 };
 
 } // namespace

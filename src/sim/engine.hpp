@@ -43,6 +43,20 @@
 ///    Action traces, timelines, events, and RunMetrics other than those
 ///    two counters are bit-identical to the slot loop; audit mode
 ///    re-verifies every elided range.
+///
+/// In both cores a simulated slot costs time in proportion to the workers
+/// that are UP or hold work (a program download, a staged or computing
+/// instance, a checkpoint upload), plus the workers whose availability
+/// segment ends in that slot — not in proportion to the fleet size.  The
+/// runner keeps the UP and holder sets incrementally, in processor order,
+/// and a per-worker cache of the slot where each RLE segment ends; a
+/// scheduling round additionally refreshes only the processor views that
+/// can have changed.  What still scales with P: a heuristic's own
+/// per-round work (e.g. SchedView scoring state), the recorders
+/// (timelines and action traces write one entry per worker per slot), and
+/// audit mode.  Each run adds its work counters (`sim.worker_visits`,
+/// `sim.cursor_queries`, `sim.slots_stepped`) to the installed
+/// obs::Registry, if any.
 
 #include <memory>
 #include <vector>

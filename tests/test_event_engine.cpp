@@ -5,7 +5,8 @@
 /// Markov, semi-Markov, and checkpointed regimes, with audit mode
 /// re-verifying every elided range.  Also pins the slot-0 dead-stretch fix:
 /// a realization that starts with every worker absent is skipped in full,
-/// including slot 0, by the event core.
+/// including slot 0, by the event core.  Last, pins the deterministic work
+/// counters the engine publishes to an installed obs::Registry.
 
 #include <gtest/gtest.h>
 
@@ -16,8 +17,10 @@
 #include "api/simulation_builder.hpp"
 #include "ckpt/registry.hpp"
 #include "core/factory.hpp"
+#include "obs/registry.hpp"
 #include "sim/action_trace.hpp"
 #include "sim/engine.hpp"
+#include "sim/metrics_io.hpp"
 #include "sim/timeline.hpp"
 #include "support/fixtures.hpp"
 #include "trace/replay.hpp"
@@ -27,6 +30,7 @@
 namespace vc = volsched::core;
 namespace vk = volsched::ckpt;
 namespace vm = volsched::markov;
+namespace vo = volsched::obs;
 namespace vs = volsched::sim;
 namespace vt = volsched::test;
 
@@ -283,4 +287,76 @@ TEST(EventEngine, InitialDeadStretchIsSkippedInFullByBothCores) {
     expect_same_metrics(out[0].m, out[1].m, label);
     expect_same_timeline(out[0].timeline, out[1].timeline, label);
     expect_same_actions(out[0].actions, out[1].actions, label);
+}
+
+TEST(EventEngine, WorkCountersFollowPresentWorkersNotFleetSize) {
+    // A sparse desktop fleet: 64 semi-Markov workers with short UP
+    // sojourns and long absences.  Each core runs twice, bare and with a
+    // metrics registry installed; the registry must not change one byte
+    // of output, and the per-run work counters it receives must show the
+    // stepping cost following the workers present, not P.
+    using volsched::trace::SemiMarkovAvailability;
+    using volsched::trace::SojournDist;
+    constexpr int kProcs = 64;
+    volsched::trace::SemiMarkovParams params;
+    params.sojourn = {SojournDist::weibull_with_mean(0.7, 60.0),
+                      SojournDist::weibull_with_mean(0.9, 160.0),
+                      SojournDist::weibull_with_mean(0.8, 800.0)};
+    params.jump[0] = {0.0, 0.5, 0.5};
+    params.jump[1] = {0.5, 0.0, 0.5};
+    params.jump[2] = {0.9, 0.1, 0.0};
+    const auto pf = vs::Platform::homogeneous(kProcs, /*w_all=*/200,
+                                              /*ncom=*/4, /*t_prog=*/10,
+                                              /*t_data=*/2);
+    const std::vector<vm::MarkovChain> beliefs(
+        kProcs, vm::MarkovChain(
+                    SemiMarkovAvailability(params).equivalent_markov_matrix()));
+    struct Run {
+        std::string metrics;
+        vs::Timeline timeline;
+        vs::ActionTrace actions;
+    };
+    const auto run = [&](bool event_driven, Run& out) {
+        std::vector<std::unique_ptr<vm::AvailabilityModel>> models;
+        for (int q = 0; q < kProcs; ++q)
+            models.push_back(std::make_unique<SemiMarkovAvailability>(params));
+        auto sim = vs::Simulation::builder()
+                       .platform(pf)
+                       .models(std::move(models))
+                       .beliefs(beliefs)
+                       .config(vt::audited_config(2, 12, /*replica_cap=*/0))
+                       .timeline(&out.timeline)
+                       .actions(&out.actions)
+                       .event_driven(event_driven)
+                       .seed(5)
+                       .build();
+        const auto sched = vc::make_scheduler("emct");
+        out.metrics = vs::metrics_to_json(sim.run(*sched));
+    };
+    for (const bool event_driven : {false, true}) {
+        const std::string label = event_driven ? "event core" : "slot loop";
+        Run bare, observed;
+        run(event_driven, bare);
+        vo::Registry registry;
+        vo::Registry::install(&registry);
+        run(event_driven, observed);
+        vo::Registry::install(nullptr);
+        EXPECT_EQ(bare.metrics, observed.metrics) << label;
+        expect_same_timeline(bare.timeline, observed.timeline, label);
+        expect_same_actions(bare.actions, observed.actions, label);
+
+        const long long stepped = registry.counter("sim.slots_stepped").value();
+        const long long visits = registry.counter("sim.worker_visits").value();
+        const long long queries =
+            registry.counter("sim.cursor_queries").value();
+        ASSERT_GT(stepped, 0) << label;
+        EXPECT_GT(queries, 0) << label;
+        EXPECT_LT(visits, stepped * kProcs)
+            << label << ": " << visits << " worker visits in " << stepped
+            << " stepped slots of a " << kProcs << "-worker fleet";
+        // The slot loop steps every slot of the run.
+        if (!event_driven) {
+            EXPECT_EQ(stepped, bare.timeline.slots()) << label;
+        }
+    }
 }

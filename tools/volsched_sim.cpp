@@ -14,9 +14,12 @@
 /// recipe), "weibull" and "lognormal" (semi-Markov desktop-grid fleets
 /// with Markov beliefs fitted from a recorded history).
 
+#include <climits>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <memory>
+#include <optional>
 
 #include "volsched/volsched.hpp"
 
@@ -83,9 +86,21 @@ void print_metrics(const sim::RunMetrics& m, int tasks_per_iteration,
                     m.cache_hits, m.cache_misses, m.cache_invalidations);
 }
 
-} // namespace
+/// Integer option `name`, range-checked against [lo, hi] on the parsed
+/// 64-bit value, before any narrowing to int; a value outside it gets a
+/// diagnostic and nullopt.
+std::optional<int> int_option(const util::Cli& cli, const char* name,
+                              long long lo, long long hi) {
+    const long long v = cli.get_int(name);
+    if (v < lo || v > hi) {
+        std::fprintf(stderr, "--%s %lld is out of range [%lld, %lld]\n", name,
+                     v, lo, hi);
+        return std::nullopt;
+    }
+    return static_cast<int>(v);
+}
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
     util::Cli cli("volsched_sim", "run one master-worker simulation");
     cli.add_string("heuristic", "emct*",
                    "scheduler spec (--list-heuristics prints all names)");
@@ -151,38 +166,49 @@ int main(int argc, char** argv) {
         }
     }
 
-    const int p = static_cast<int>(cli.get_int("procs"));
-    const int wmin = static_cast<int>(cli.get_int("wmin"));
+    // Range checks on the 64-bit parse, so no value is truncated: speeds
+    // reach 10 * wmin, the semi-Markov models scale mean-up by at least
+    // 0.5 and need a mean of at least 1, and a fleet or task count beyond
+    // a million is a typo, not a simulation.
+    const auto p = int_option(cli, "procs", 1, 1'000'000);
+    const auto tasks = int_option(cli, "tasks", 1, 1'000'000);
+    const auto iterations = int_option(cli, "iterations", 1, INT_MAX);
+    const auto ncom = int_option(cli, "ncom", 1, INT_MAX);
+    const auto wmin = int_option(cli, "wmin", 1, INT_MAX / 10);
+    const auto replicas = int_option(cli, "replicas", 0, 1'000'000);
+    const auto ckpt_cost = int_option(cli, "checkpoint-cost", 0, INT_MAX);
+    const auto mean_up = int_option(cli, "mean-up", 2, INT_MAX);
+    if (!p || !tasks || !iterations || !ncom || !wmin || !replicas ||
+        !ckpt_cost || !mean_up)
+        return 2;
     const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
     const auto& model = cli.get_string("model");
 
     // Platform + availability, assembled through the facade builder.
     util::Rng rng(util::mix_seed(seed, 0x700157ULL));
     sim::Platform pf;
-    pf.ncom = static_cast<int>(cli.get_int("ncom"));
-    pf.t_data = wmin;
-    pf.t_prog = 5 * wmin;
-    for (int q = 0; q < p; ++q)
+    pf.ncom = *ncom;
+    pf.t_data = *wmin;
+    pf.t_prog = 5 * *wmin;
+    for (int q = 0; q < *p; ++q)
         pf.w.push_back(static_cast<int>(
-            rng.uniform_int(wmin, static_cast<std::uint64_t>(10) * wmin)));
+            rng.uniform_int(*wmin, static_cast<std::uint64_t>(10) * *wmin)));
 
     auto builder = sim::Simulation::builder();
     builder.platform(pf).seed(seed);
     if (model == "markov") {
-        builder.markov(markov::generate_chains(static_cast<std::size_t>(p),
+        builder.markov(markov::generate_chains(static_cast<std::size_t>(*p),
                                                rng));
     } else if (model == "weibull" || model == "lognormal") {
-        const double mean_up =
-            static_cast<double>(cli.get_int("mean-up"));
+        const auto mean = static_cast<double>(*mean_up);
         std::vector<std::unique_ptr<markov::AvailabilityModel>> models;
         std::vector<markov::MarkovChain> beliefs;
-        for (int q = 0; q < p; ++q) {
+        for (int q = 0; q < *p; ++q) {
             const auto params =
                 model == "weibull"
-                    ? trace::desktop_grid_params(mean_up *
-                                                 rng.uniform(0.5, 1.5))
+                    ? trace::desktop_grid_params(mean * rng.uniform(0.5, 1.5))
                     : trace::desktop_grid_params_lognormal(
-                          mean_up * rng.uniform(0.5, 1.5));
+                          mean * rng.uniform(0.5, 1.5));
             trace::SemiMarkovAvailability proto(params);
             util::Rng fit_rng(util::mix_seed(seed, q, 0xF17));
             const auto history = trace::record(proto, 30000, fit_rng);
@@ -197,17 +223,15 @@ int main(int argc, char** argv) {
         return 2;
     }
 
-    builder.iterations(static_cast<int>(cli.get_int("iterations")))
-        .tasks_per_iteration(static_cast<int>(cli.get_int("tasks")))
-        .replica_cap(static_cast<int>(cli.get_int("replicas")))
+    builder.iterations(*iterations)
+        .tasks_per_iteration(*tasks)
+        .replica_cap(*replicas)
         .event_driven(!cli.get_flag("no-event-core"));
     const std::string& ckpt_spec = cli.get_string("checkpoint");
     const bool checkpointing = ckpt_spec != "none";
     if (checkpointing) {
         try {
-            builder.checkpoint(ckpt_spec)
-                .checkpoint_cost(
-                    static_cast<int>(cli.get_int("checkpoint-cost")));
+            builder.checkpoint(ckpt_spec).checkpoint_cost(*ckpt_cost);
         } catch (const std::invalid_argument& e) {
             std::fprintf(stderr, "%s\n", e.what());
             return 2;
@@ -336,4 +360,18 @@ int main(int argc, char** argv) {
                           .c_str());
     if (!metrics_json.empty() && !emit_json(json_rows + "\n]")) return 1;
     return all_completed ? 0 : 1;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    // Anything the library rejects past the option checks (a builder or
+    // model precondition, an allocation failure) is a diagnostic, not an
+    // abort.
+    try {
+        return run(argc, argv);
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "volsched_sim: %s\n", e.what());
+        return 2;
+    }
 }
