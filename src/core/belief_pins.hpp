@@ -9,8 +9,8 @@
 /// 24-byte struct-of-everything per worker, and resolving the worker's
 /// belief chain in the expectation cache each time (hash probe + matrix
 /// validation) would cost about as much as recomputing the closed forms.
-/// Instead the schedulers snapshot everything once per scheduling round
-/// (begin_round):
+/// Instead the schedulers snapshot a processor's quantities the first time
+/// a round scores it:
 ///
 ///   handles    — expectation-cache pins, one hash probe each per round;
 ///                reads through a handle are a branch and a load
@@ -19,14 +19,19 @@
 ///   step_plain — max(Tdata, w_q), the per-extra-task term of Eq. (1)
 ///
 /// All five arrays are indexed by processor id and contiguous, so the
-/// batched completion-time and scoring passes stream them sequentially.
-/// The snapshot is keyed on the view's address: refresh() is a pointer
-/// compare when the engine's begin_round protocol already pinned this
-/// round's view, and a full repin the first time a foreign caller (the
-/// property tests drive batched_scores directly) presents a new view.
-/// Callers that mutate a view's processors *in place* and re-score
-/// without an intervening begin_round are outside the contract — the
-/// engine never does, and tests build a fresh fixture per case.
+/// batched completion-time and scoring passes stream them.
+///
+/// Contract:
+///  - A processor is pinned on first use per round: pin() snapshots each
+///    candidate it has not seen since the last begin_round(), so a round
+///    costs what its candidates cost, not what P costs.
+///  - Nothing outlives begin_round(): it is O(1) (a round stamp bump) and
+///    makes every earlier pin stale.
+///  - A view's address is not an identity.  Two views presented without a
+///    begin_round() between them are taken to be the same round; callers
+///    that present a different view — or mutate a view's processors in
+///    place — must call begin_round() first.  A caller that never calls it
+///    gets one implicit round per processor count.
 ///
 /// Handles are validated at pin time; a chain destroyed and rebuilt at
 /// the same address *between* pins is caught by the pin's matrix check,
@@ -34,6 +39,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "markov/expectation_cache.hpp"
@@ -42,17 +49,30 @@
 namespace volsched::core {
 
 struct BeliefPins {
-    /// Unconditionally re-snapshot the round (round entry).
-    void repin(markov::ExpectationCache& cache, const sim::SchedView& view) {
-        pinned_view = &view;
-        const std::size_t n = view.procs.size();
-        handles.resize(n);
-        beliefs.resize(n);
-        w.resize(n);
-        delay.resize(n);
-        step_plain.resize(n);
+    /// Round entry: every earlier pin goes stale.  Resizes the columns
+    /// only when the processor count changes.
+    void begin_round(std::size_t procs) {
+        ++round;
+        if (pinned_in.size() == procs) return;
+        pinned_in.assign(procs, 0);
+        handles.resize(procs);
+        beliefs.resize(procs);
+        w.resize(procs);
+        delay.resize(procs);
+        step_plain.resize(procs);
+    }
+
+    /// Snapshot every processor of `eligible` this round has not pinned
+    /// yet.
+    void pin(markov::ExpectationCache& cache, const sim::SchedView& view,
+             std::span<const sim::ProcId> eligible) {
+        if (pinned_in.size() != view.procs.size())
+            begin_round(view.procs.size());
         const double t_data = view.platform->t_data;
-        for (std::size_t q = 0; q < n; ++q) {
+        for (const sim::ProcId p : eligible) {
+            const auto q = static_cast<std::size_t>(p);
+            if (pinned_in[q] == round) continue;
+            pinned_in[q] = round;
             const sim::ProcView& pv = view.procs[q];
             beliefs[q] = pv.belief;
             handles[q] = pv.belief != nullptr
@@ -64,20 +84,14 @@ struct BeliefPins {
         }
     }
 
-    /// Re-snapshot only when `view` is not the round begin_round() pinned.
-    void refresh(markov::ExpectationCache& cache,
-                 const sim::SchedView& view) {
-        if (pinned_view == &view && beliefs.size() == view.procs.size())
-            return;
-        repin(cache, view);
-    }
-
     std::vector<markov::ExpectationCache::Handle> handles;
     std::vector<const markov::MarkovChain*> beliefs;
     std::vector<double> w;
     std::vector<double> delay;
     std::vector<double> step_plain;
-    const sim::SchedView* pinned_view = nullptr;
+    /// The round each processor was last pinned in (0: never).
+    std::vector<std::uint64_t> pinned_in;
+    std::uint64_t round = 1;
 };
 
 } // namespace volsched::core

@@ -54,7 +54,7 @@ sim::ProcId HybridScheduler::select(const sim::SchedView& view,
     // skeleton): completion times, then scores, then argmin — decisions
     // identical to a scalar loop over ct_plain and the markov:: free
     // functions, which the heuristic property tests keep as the oracle.
-    pins_.refresh(cache_, view);
+    pins_.pin(cache_, view, eligible);
     cts_.resize(eligible.size());
     scores_.resize(eligible.size());
     // Inline Eq. (1) over the round's contiguous column snapshots —

@@ -61,10 +61,16 @@ public:
     sim::ProcId select(const sim::SchedView& view,
                        std::span<const sim::ProcId> eligible,
                        std::span<const int> nq, util::Rng& rng) override;
+    /// O(1): select() pins each candidate on first use this round.
     void begin_round(const sim::SchedView& view) override {
-        pins_.repin(cache_, view);
+        pins_.begin_round(view.procs.size());
     }
     [[nodiscard]] std::string_view name() const override { return "hybrid"; }
+
+    /// Expectation-cache counters, exposed for tests and diagnostics.
+    [[nodiscard]] const markov::ExpectationCache& cache() const noexcept {
+        return cache_;
+    }
 
     [[nodiscard]] sim::SchedulerCounters counters() const override {
         return {cache_.hits(), cache_.misses(), cache_.invalidations()};

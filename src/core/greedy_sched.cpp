@@ -20,7 +20,7 @@ void GreedyScheduler::batched_scores(const sim::SchedView& view,
                                      std::span<const int> nq,
                                      std::vector<double>& cts,
                                      std::vector<double>& scores) {
-    pins_.refresh(cache(), view);
+    pins_.pin(cache(), view, eligible);
     cts.resize(eligible.size());
     scores.resize(eligible.size());
     // Inline Eq. (1)/(2) over the round's contiguous column snapshots,

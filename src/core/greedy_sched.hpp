@@ -34,11 +34,13 @@ public:
     sim::ProcId select(const sim::SchedView& view,
                        std::span<const sim::ProcId> eligible,
                        std::span<const int> nq, util::Rng& rng) final;
-    /// Round entry: pin every processor's belief in the expectation cache
-    /// (one probe + validation each), so the scoring loops below read
-    /// through handles only.
+    /// Round entry, O(1): every pin of the previous round goes stale.  The
+    /// scoring passes then pin each candidate's belief in the expectation
+    /// cache (one probe + validation) the first time this round scores it
+    /// and read through handles from there on.  Call it before presenting
+    /// a different view: a view's address is not an identity.
     void begin_round(const sim::SchedView& view) final {
-        pins_.repin(cache_, view);
+        pins_.begin_round(view.procs.size());
     }
     [[nodiscard]] std::string_view name() const final { return name_; }
 
@@ -85,6 +87,7 @@ protected:
     }
     /// The handle pinned for processor `q` this round (null when the
     /// processor has no belief — callers branch on belief themselves).
+    /// Valid for the candidates batched_scores() pinned.
     [[nodiscard]] markov::ExpectationCache::Handle pin_of(
         sim::ProcId q) const {
         return pins_.handles[static_cast<std::size_t>(q)];

@@ -36,46 +36,13 @@ double RandomScheduler::weight_of(const sim::ProcView& pv) const {
     return w;
 }
 
-void RandomScheduler::refresh_weights(const sim::SchedView& view) {
-    const std::size_t n = view.procs.size();
-    if (weights_view_ == &view && weight_by_proc_.size() == n) return;
-    if (weight_by_proc_.size() == n) {
-        bool same = true;
-        for (std::size_t q = 0; q < n; ++q) {
-            if (view.procs[q].belief != weight_beliefs_[q] ||
-                static_cast<double>(view.procs[q].w) != weight_speeds_[q]) {
-                same = false;
-                break;
-            }
-        }
-        if (same) {
-            weights_view_ = &view;
-            return;
-        }
-    }
-    weights_view_ = &view;
-    weight_by_proc_.resize(n);
-    weight_beliefs_.resize(n);
-    weight_speeds_.resize(n);
-    for (std::size_t q = 0; q < n; ++q) {
-        weight_by_proc_[q] = weight_of(view.procs[q]);
-        weight_beliefs_[q] = view.procs[q].belief;
-        weight_speeds_[q] = static_cast<double>(view.procs[q].w);
-    }
-}
-
-void RandomScheduler::begin_round(const sim::SchedView& view) {
-    refresh_weights(view);
-}
-
 sim::ProcId RandomScheduler::select(const sim::SchedView& view,
                                     std::span<const sim::ProcId> eligible,
                                     std::span<const int> nq, util::Rng& rng) {
     (void)nq;
     weights_.resize(eligible.size());
-    refresh_weights(view);
     for (std::size_t i = 0; i < eligible.size(); ++i)
-        weights_[i] = weight_by_proc_[static_cast<std::size_t>(eligible[i])];
+        weights_[i] = weight_of(view.procs[eligible[i]]);
     const std::size_t idx = rng.weighted_index(weights_.data(), weights_.size());
     if (idx >= eligible.size()) {
         // All weights zero (e.g. pi_u == 0 everywhere): fall back to uniform.

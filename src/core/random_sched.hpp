@@ -11,10 +11,10 @@
 ///
 /// The `w` suffix divides the weight by w_q, blending speed into the pick.
 ///
-/// A processor's weight depends only on its belief chain and speed, both
-/// fixed for a whole run, so begin_round() computes every weight once and
-/// select() merely gathers them — same weights, same RNG draws, decisions
-/// bit-identical to evaluating weight_of per pick.
+/// select() computes each candidate's weight from the view it is handed,
+/// every call: the scheduler keeps no per-processor state between calls,
+/// so nothing outlives a round and a view's address is never taken for
+/// its identity (a reused instance draws exactly like a fresh one).
 
 #include <string>
 #include <vector>
@@ -38,29 +38,15 @@ public:
     sim::ProcId select(const sim::SchedView& view,
                        std::span<const sim::ProcId> eligible,
                        std::span<const int> nq, util::Rng& rng) override;
-    void begin_round(const sim::SchedView& view) override;
     [[nodiscard]] std::string_view name() const override { return name_; }
 
 private:
     [[nodiscard]] double weight_of(const sim::ProcView& pv) const;
-    /// Recompute weight_by_proc_ unless the view's (belief, speed) wiring
-    /// matches what is already cached — the safety net for callers that
-    /// drive select() without the engine's begin_round protocol.
-    void refresh_weights(const sim::SchedView& view);
 
     RandomWeight weight_;
     bool divide_by_speed_;
     std::string name_;
     std::vector<double> weights_; // scratch, sized per call
-    // Per-processor weights for the current round, plus the inputs they
-    // were computed from (for refresh_weights' change detection).
-    std::vector<double> weight_by_proc_;
-    std::vector<const markov::MarkovChain*> weight_beliefs_;
-    std::vector<double> weight_speeds_;
-    /// The view begin_round() pinned: select()'s refresh is a pointer
-    /// compare in the engine's begin_round protocol, and the (belief,
-    /// speed) content check only runs for a foreign view.
-    const sim::SchedView* weights_view_ = nullptr;
 };
 
 } // namespace volsched::core

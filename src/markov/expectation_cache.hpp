@@ -32,13 +32,15 @@
 /// another constructed at the same address) is detected and never serves
 /// stale values.
 ///
-/// Hot path: the scoring loops resolve each belief once per scheduling
-/// round with pin() — one hash probe plus the matrix validation — and
-/// then read every quantity through the returned Handle, which is a load.
-/// A Handle stays valid until the cache is cleared or the pinned chain's
-/// entry is invalidated by a chain-keyed access; pin again at every round
-/// boundary (GreedyScheduler does this from begin_round) rather than
-/// holding handles across rounds or runs.
+/// Hot path: the scoring loops resolve each candidate's belief once per
+/// scheduling round with pin() — one hash probe plus the matrix
+/// validation, counted as neither hit nor miss — and then read every
+/// quantity through the returned Handle, which is a load.  A Handle stays
+/// valid until the cache is cleared or the pinned chain's entry is
+/// invalidated by a chain-keyed access; pin again in every round (the
+/// schedulers pin a candidate on its first use after begin_round, see
+/// core/belief_pins.hpp) rather than holding handles across rounds or
+/// runs.
 ///
 /// Thread-safety: none — one cache per scheduler instance.  The sweep and
 /// campaign drivers construct schedulers per instance per worker thread

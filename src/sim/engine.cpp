@@ -256,6 +256,8 @@ public:
         up_.reset(p);
         holders_.reset(p);
         views_.resize(static_cast<std::size_t>(p));
+        nq_.assign(static_cast<std::size_t>(p), 0);
+        planned_logical_.assign(static_cast<std::size_t>(p), -1);
         stale_views_.reset(p);
         for (int q = 0; q < p; ++q) stale_views_.assign(q, true);
         cursors_.reserve(p);
@@ -1178,8 +1180,14 @@ private:
         view.nactive = 0;
         view.remaining_tasks = static_cast<int>(pool_.size());
 
-        nq_.assign(static_cast<std::size_t>(pf_.size()), 0);
+        // Undo only what the previous round wrote: the queue counts of the
+        // workers it planned on and its replica targets.
+        for (const ProcId q : planned_procs_) nq_[q] = 0;
+        planned_procs_.clear();
+        for (const auto& plan : replica_plan_)
+            planned_logical_[plan.second] = -1;
         replica_plan_.clear();
+        if (config_.audit) audit_round_scratch();
 
         if (must_plan) {
             if (config_.tracer)
@@ -1205,7 +1213,7 @@ private:
                     sched.select(view, scratch_, nq_, sched_rng_);
                 inst.planned = q;
                 inst.plan_seq = plan_counter_++;
-                if (nq_[q]++ == 0) ++view.nactive;
+                note_planned(q, view);
             }
 
             // 2. Replica candidates (Section 6.1): only when UP processors
@@ -1213,8 +1221,6 @@ private:
             // logical task; restricted to buffer-free processors so that a
             // committed replica starts transferring immediately.
             if (may_replicate) {
-                planned_logical_.assign(
-                    static_cast<std::size_t>(pf_.size()), -1);
                 for (int lt = 0; lt < config_.tasks_per_iteration; ++lt) {
                     if (logical_done_[lt]) continue;
                     int live = logical_live_[lt];
@@ -1232,7 +1238,7 @@ private:
                             sched.select(view, scratch_, nq_, sched_rng_);
                         replica_plan_.push_back({lt, q});
                         planned_logical_[q] = lt;
-                        if (nq_[q]++ == 0) ++view.nactive;
+                        note_planned(q, view);
                         ++live;
                     }
                 }
@@ -1274,6 +1280,24 @@ private:
                 --logical_live_[lt];
             }
         }
+    }
+
+    /// Counts one more instance planned on `q` this round; the first one
+    /// makes q active (the starred heuristics' nactive).
+    void note_planned(ProcId q, SchedView& view) {
+        if (nq_[q]++ > 0) return;
+        ++view.nactive;
+        planned_procs_.push_back(q);
+    }
+
+    /// Audit-mode check, at round entry, that the previous round's resets
+    /// left no queue count and no replica target behind.
+    void audit_round_scratch() const {
+        if (std::any_of(nq_.begin(), nq_.end(), [](int n) { return n != 0; }))
+            throw std::logic_error("audit: stale round queue count");
+        if (std::any_of(planned_logical_.begin(), planned_logical_.end(),
+                        [](int lt) { return lt != -1; }))
+            throw std::logic_error("audit: stale replica target");
     }
 
     /// SchedulerClass::Proactive: un-enrol a suspended worker when an idle
@@ -1970,12 +1994,13 @@ private:
     std::vector<ProcId> pending_;
     std::vector<int> pool_;
     std::vector<ProcView> views_;
-    std::vector<int> nq_;
+    std::vector<int> nq_; ///< this round's instances per worker
+    std::vector<ProcId> planned_procs_; ///< workers with nq_ > 0
     std::vector<ProcId> eligible_;
     std::vector<ProcId> scratch_;
     std::vector<int> commit_order_;
     std::vector<std::pair<int, ProcId>> replica_plan_;
-    std::vector<int> planned_logical_;
+    std::vector<int> planned_logical_; ///< this round's replica targets
     std::vector<ProcId> changed_; ///< phase 1: workers consulted this slot
     /// fast-forward: each slot's constant (worker, recv) and
     /// (worker, compute) actions

@@ -51,8 +51,10 @@
 /// runner keeps the UP and holder sets incrementally, in processor order,
 /// and a per-worker cache of the slot where each RLE segment ends; a
 /// scheduling round additionally refreshes only the processor views that
-/// can have changed.  What still scales with P: a heuristic's own
-/// per-round work (e.g. SchedView scoring state), the recorders
+/// can have changed, resets only the per-worker round scratch the previous
+/// round wrote, and the bundled heuristics score (and pin) only the
+/// candidates they are offered.  What still scales with P: a plugin
+/// heuristic that walks every SchedView entry per round, the recorders
 /// (timelines and action traces write one entry per worker per slot), and
 /// audit mode.  Each run adds its work counters (`sim.worker_visits`,
 /// `sim.cursor_queries`, `sim.slots_stepped`) to the installed

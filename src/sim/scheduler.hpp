@@ -67,7 +67,13 @@ class Scheduler {
 public:
     virtual ~Scheduler() = default;
 
-    /// Called once at the start of each assignment round.
+    /// Called once at the start of each assignment round.  Keep it O(1):
+    /// snapshot per-processor state lazily, on a processor's first use in
+    /// select() this round, so a round costs what its candidates cost
+    /// rather than what P costs.  Nothing may outlive begin_round(), and a
+    /// view's address is not an identity: the engine builds a fresh view
+    /// per round, often at the address the last one had, and an instance
+    /// may run several simulations in turn.
     virtual void begin_round(const SchedView& view) { (void)view; }
 
     /// Chooses a processor for the next task instance among `eligible`

@@ -1,5 +1,8 @@
 /// Property-style sweeps over the heuristic scoring functions: invariants
-/// that must hold for any recipe chain and any processor configuration.
+/// that must hold for any recipe chain and any processor configuration,
+/// plus the round contract of sim/scheduler.hpp: a round pins only the
+/// candidates it scores, and nothing a scheduler keeps outlives
+/// begin_round (a reused instance behaves exactly like a fresh one).
 
 #include <gtest/gtest.h>
 
@@ -12,12 +15,18 @@
 #include <string>
 #include <vector>
 
+#include "api/simulation_builder.hpp"
 #include "core/ct.hpp"
+#include "core/extensions.hpp"
 #include "core/factory.hpp"
 #include "core/greedy_sched.hpp"
 #include "markov/expectation.hpp"
 #include "markov/gen.hpp"
+#include "sim/action_trace.hpp"
+#include "sim/engine.hpp"
+#include "sim/metrics_io.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/timeline.hpp"
 #include "util/rng.hpp"
 
 namespace vc = volsched::core;
@@ -58,6 +67,14 @@ struct Fixture {
         view.remaining_tasks = 3;
     }
 };
+
+/// The 21-spec set: the paper's seventeen plus the extensions.
+std::vector<std::string> all_specs() {
+    auto names = vc::all_heuristic_names();
+    const auto& ext = vc::extension_heuristic_names();
+    names.insert(names.end(), ext.begin(), ext.end());
+    return names;
+}
 
 std::vector<vs::ProcId> all_procs(int p) {
     std::vector<vs::ProcId> out(static_cast<std::size_t>(p));
@@ -338,10 +355,7 @@ TEST_P(HeuristicProperty, DecisionsInvariantUnderWorkerPermutation) {
     for (int q = 0; q < p; ++q)
         nq_g[static_cast<std::size_t>(perm[q])] = nq_f[q];
 
-    auto names = vc::all_heuristic_names();
-    const auto& ext = vc::extension_heuristic_names();
-    names.insert(names.end(), ext.begin(), ext.end());
-    for (const auto& name : names) {
+    for (const auto& name : all_specs()) {
         auto sched_f = vc::make_scheduler(name);
         auto sched_g = vc::make_scheduler(name);
         volsched::util::Rng rng_f(77);
@@ -362,9 +376,7 @@ TEST_P(HeuristicProperty, BatchedSelectMatchesScalarOracle) {
     Fixture f(6, static_cast<std::uint64_t>(GetParam()) + 700);
     const std::vector<int> nq = {1, 0, 2, 0, 0, 3};
     const auto eligible = all_procs(6);
-    auto names = vc::all_heuristic_names();
-    const auto& ext = vc::extension_heuristic_names();
-    names.insert(names.end(), ext.begin(), ext.end());
+    const auto names = all_specs();
     ASSERT_EQ(names.size(), 21u);
     for (const auto& name : names) {
         auto batched = vc::make_scheduler(name);
@@ -380,7 +392,188 @@ TEST_P(HeuristicProperty, BatchedSelectMatchesScalarOracle) {
     }
 }
 
+TEST_P(HeuristicProperty, ViewsAtOneAddressScoreAsFresh) {
+    // The engine builds each round's view in the same stack slot, so a
+    // view's address is not an identity.  After begin_round, a scheduler
+    // that scored one view must score a different view presented at the
+    // same address exactly like a fresh instance: same picks, same RNG
+    // draws, and for the greedy family the same scores to the last bit.
+    const auto seed = static_cast<std::uint64_t>(GetParam());
+    constexpr int p = 8;
+    const Fixture a(p, seed + 800);
+    const Fixture b(p, seed + 900);
+    const auto eligible = all_procs(p);
+    for (const auto& name : all_specs()) {
+        auto reused = vc::make_scheduler(name);
+        auto fresh = vc::make_scheduler(name);
+        vs::SchedView view = a.view;
+        std::vector<int> nq(p, 0);
+        volsched::util::Rng rng_a(3);
+        reused->begin_round(view);
+        (void)reused->select(view, eligible, nq, rng_a);
+
+        view = b.view;
+        reused->begin_round(view);
+        fresh->begin_round(view);
+        volsched::util::Rng rng_reused(4);
+        volsched::util::Rng rng_fresh(4);
+        std::vector<int> nq_reused(p, 0);
+        std::vector<int> nq_fresh(p, 0);
+        // A whole round's worth of picks, queue counts growing as the
+        // engine grows them.
+        for (int pick = 0; pick < 20; ++pick) {
+            const auto q_reused =
+                reused->select(view, eligible, nq_reused, rng_reused);
+            const auto q_fresh =
+                fresh->select(view, eligible, nq_fresh, rng_fresh);
+            ASSERT_EQ(q_reused, q_fresh) << name << " pick " << pick;
+            ++nq_reused[q_reused];
+            ++nq_fresh[q_fresh];
+        }
+        EXPECT_EQ(rng_reused(), rng_fresh()) << name << ": RNG drift";
+
+        auto* greedy_reused = dynamic_cast<vc::GreedyScheduler*>(reused.get());
+        auto* greedy_fresh = dynamic_cast<vc::GreedyScheduler*>(fresh.get());
+        if (greedy_reused == nullptr) continue;
+        std::vector<double> cts_reused;
+        std::vector<double> scores_reused;
+        std::vector<double> cts_fresh;
+        std::vector<double> scores_fresh;
+        greedy_reused->batched_scores(view, eligible, nq_reused, cts_reused,
+                                      scores_reused);
+        greedy_fresh->batched_scores(view, eligible, nq_fresh, cts_fresh,
+                                     scores_fresh);
+        EXPECT_EQ(cts_reused, cts_fresh) << name;
+        EXPECT_EQ(scores_reused, scores_fresh) << name;
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, HeuristicProperty, ::testing::Range(0, 10));
+
+TEST(SchedulerWork, RoundPinsOnlyTheCandidatesItScores) {
+    // begin_round is O(1) and resolves no belief; a select pins each of
+    // its k candidates once (k cache entries for k distinct chains) and
+    // never touches the other P - k processors.
+    constexpr int p = 64;
+    const Fixture f(p, 4242);
+    std::vector<vs::ProcId> eligible;
+    for (int q = 3; q < p; q += 5) eligible.push_back(q);
+    const std::vector<int> nq(p, 0);
+    auto names = vc::greedy_heuristic_names();
+    names.emplace_back("hybrid");
+    for (const auto& name : names) {
+        auto sched = vc::make_scheduler(name);
+        const vm::ExpectationCache* cache = nullptr;
+        if (const auto* greedy =
+                dynamic_cast<const vc::GreedyScheduler*>(sched.get()))
+            cache = &greedy->cache();
+        else if (const auto* hybrid =
+                     dynamic_cast<const vc::HybridScheduler*>(sched.get()))
+            cache = &hybrid->cache();
+        ASSERT_NE(cache, nullptr) << name;
+        volsched::util::Rng rng(1);
+        sched->begin_round(f.view);
+        EXPECT_EQ(cache->size(), 0u) << name;
+        (void)sched->select(f.view, eligible, nq, rng);
+        EXPECT_EQ(cache->size(), eligible.size()) << name;
+        // A second select of the same round re-pins nothing.
+        (void)sched->select(f.view, eligible, nq, rng);
+        EXPECT_EQ(cache->size(), eligible.size()) << name;
+    }
+}
+
+namespace {
+
+/// Everything a run shows: its metrics JSON, its timeline and its action
+/// trace, each flattened to a string.
+struct RunBytes {
+    std::string metrics;
+    std::string timeline;
+    std::string actions;
+};
+
+/// A small replicating Markov platform; availability and beliefs come from
+/// generate_chains under `seed`.
+vs::Simulation reuse_simulation(std::uint64_t seed, bool event_driven,
+                                vs::Timeline* timeline,
+                                vs::ActionTrace* actions) {
+    constexpr int p = 10;
+    volsched::util::Rng rng(seed);
+    vs::Platform pf;
+    pf.ncom = 2;
+    pf.t_prog = 4;
+    pf.t_data = 2;
+    for (int q = 0; q < p; ++q)
+        pf.w.push_back(1 + static_cast<int>(rng.uniform_int(0, 7)));
+    return vs::Simulation::builder()
+        .platform(pf)
+        .markov(vm::generate_chains(p, rng))
+        .iterations(2)
+        .tasks_per_iteration(6)
+        .max_slots(20'000)
+        .audit()
+        .seed(seed)
+        .timeline(timeline)
+        .actions(actions)
+        .event_driven(event_driven)
+        .build();
+}
+
+RunBytes run_bytes(const vs::Simulation& sim, vs::Scheduler& sched,
+                   const vs::Timeline& timeline,
+                   const vs::ActionTrace& actions) {
+    RunBytes out;
+    out.metrics = vs::metrics_to_json(sim.run(sched));
+    for (int q = 0; q < timeline.procs(); ++q) {
+        for (long long t = 0; t < timeline.slots(); ++t)
+            out.timeline += timeline.at(q, t);
+        out.timeline += '\n';
+    }
+    for (int q = 0; q < actions.procs(); ++q) {
+        for (const auto& a : actions.row(q))
+            out.actions += std::to_string(a.recv) + ',' +
+                           std::to_string(a.compute) + ' ';
+        out.actions += '\n';
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(SchedulerReuse, SecondSimulationMatchesAFreshInstance) {
+    // One instance runs simulation A, then simulation B; everything B
+    // shows must equal what a fresh instance shows on B, byte for byte,
+    // for every spec and both stepping cores.
+    for (const bool event_driven : {false, true}) {
+        for (std::uint64_t s = 1; s <= 4; ++s) {
+            vs::Timeline timeline_a;
+            vs::ActionTrace actions_a;
+            vs::Timeline timeline_b;
+            vs::ActionTrace actions_b;
+            const auto sim_a =
+                reuse_simulation(s, event_driven, &timeline_a, &actions_a);
+            const auto sim_b = reuse_simulation(s + 1000, event_driven,
+                                                &timeline_b, &actions_b);
+            for (const auto& name : all_specs()) {
+                const std::string label =
+                    name + (event_driven ? " event core" : " slot loop") +
+                    " seed " + std::to_string(s);
+                auto fresh = vc::make_scheduler(name);
+                const RunBytes want =
+                    run_bytes(sim_b, *fresh, timeline_b, actions_b);
+                // Both runs go through the same call path, so that the
+                // engine's per-round view sits at the same stack address.
+                auto reused = vc::make_scheduler(name);
+                (void)run_bytes(sim_a, *reused, timeline_a, actions_a);
+                const RunBytes got =
+                    run_bytes(sim_b, *reused, timeline_b, actions_b);
+                EXPECT_EQ(got.metrics, want.metrics) << label;
+                EXPECT_EQ(got.timeline, want.timeline) << label;
+                EXPECT_EQ(got.actions, want.actions) << label;
+            }
+        }
+    }
+}
 
 TEST(HeuristicNames, FactoryOrderMatchesPaperTable2) {
     const auto& names = vc::all_heuristic_names();
