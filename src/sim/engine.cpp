@@ -305,7 +305,6 @@ public:
             }
             slot_ = t;
             ++work_.slots_stepped;
-            if (config_.actions) config_.actions->next_slot();
             advance_states(t);
             int budget = pf_.ncom;
             transfers_this_slot_ = 0;
@@ -315,7 +314,7 @@ public:
             plan_and_commit(sched, t, budget);
             advance_compute();
             if (config_.audit) audit_bandwidth();
-            record_timeline();
+            record_slots(t, t + 1);
             const bool finished = end_of_slot(t);
             if (config_.audit) {
                 audit_invariants();
@@ -466,16 +465,7 @@ private:
                             "audit: dead-slot skip crossed a state change");
             }
         }
-        if (config_.timeline) {
-            for (int q = 0; q < pf_.size(); ++q) {
-                const char code =
-                    workers_[q].state == ProcState::Down ? 'd' : 'r';
-                for (long long s = from; s < to; ++s)
-                    config_.timeline->record(q, code);
-            }
-        }
-        if (config_.actions)
-            for (long long s = from; s < to; ++s) config_.actions->next_slot();
+        record_slots(from, to);
         if (config_.tracer) config_.tracer->elided(from, to, true);
         metrics_.dead_slots_skipped += to - from;
     }
@@ -735,19 +725,17 @@ private:
         if (config_.audit) audit_steady_range(from, to);
         const int advancing =
             std::min(pf_.ncom, static_cast<int>(active_.size()));
-        ff_recv_.clear();
-        ff_compute_.clear();
         for (int i = 0; i < advancing; ++i) {
             const ActiveTransfer& tr = active_[i];
             auto w = workers_[tr.proc];
             if (tr.kind == TransferKind::Prog) {
                 w.prog_remaining -= static_cast<int>(n);
                 slot_flags_[tr.proc] |= kFlagProg;
-                ff_recv_.push_back({tr.proc, -2});
+                record_recv(tr.proc, -2);
             } else if (tr.kind == TransferKind::Data) {
                 instances_[w.staged].data_remaining -= static_cast<int>(n);
                 slot_flags_[tr.proc] |= kFlagData;
-                ff_recv_.push_back({tr.proc, instances_[w.staged].logical});
+                record_recv(tr.proc, instances_[w.staged].logical);
             } else {
                 w.ckpt_remaining -= static_cast<int>(n);
                 slot_flags_[tr.proc] |= kFlagCkpt;
@@ -766,45 +754,15 @@ private:
             metrics_.compute_slots += n;
             metrics_.per_proc[q].compute_slots += n;
             slot_flags_[q] |= kFlagCompute;
-            ff_compute_.push_back({q, instances_[w.computing].logical});
+            record_compute(q, instances_[w.computing].logical);
         }
         metrics_.slots_elided += n;
         if (up_count_ == 0) metrics_.dead_slots_skipped += n;
         if (config_.tracer) config_.tracer->elided(from, to, up_count_ == 0);
-        if (config_.timeline) {
-            for (int q = 0; q < pf_.size(); ++q) {
-                char code = '.';
-                const ProcState st = workers_[q].state;
-                if (st == ProcState::Down) code = 'd';
-                else if (st == ProcState::Reclaimed) code = 'r';
-                else {
-                    const std::uint8_t f = slot_flags_[q];
-                    const bool compute = f & kFlagCompute;
-                    const bool data = f & kFlagData;
-                    const bool prog = f & kFlagProg;
-                    const bool ckpt = f & kFlagCkpt;
-                    if (compute && data) code = 'B';
-                    else if (compute) code = 'C';
-                    else if (ckpt) code = 'K';
-                    else if (data) code = 'D';
-                    else if (prog) code = 'P';
-                }
-                for (long long s = from; s < to; ++s)
-                    config_.timeline->record(q, code);
-            }
-        }
+        record_slots(from, to);
         // Every flag above went to a holder.
         for (int q = next_holder(0); q >= 0; q = next_holder(q + 1))
             slot_flags_[q] = 0;
-        if (config_.actions) {
-            for (long long s = from; s < to; ++s) {
-                config_.actions->next_slot();
-                for (const auto& [q, value] : ff_recv_)
-                    config_.actions->set_recv(q, value);
-                for (const auto& [q, task] : ff_compute_)
-                    config_.actions->set_compute(q, task);
-            }
-        }
     }
 
     /// Audit-mode re-verification of an elided range: replays the stretch's
@@ -1442,36 +1400,12 @@ private:
         }
     }
 
-    /// Writes each worker's activity code for the slot that just ran.
-    void record_timeline() {
-        if (!config_.timeline) return;
-        for (int q = 0; q < pf_.size(); ++q) {
-            const ProcState st = workers_[q].state;
-            char code = '.';
-            if (st == ProcState::Down) code = 'd';
-            else if (st == ProcState::Reclaimed) code = 'r';
-            else {
-                const std::uint8_t f = slot_flags_[q];
-                const bool compute = f & kFlagCompute;
-                const bool data = f & kFlagData;
-                const bool prog = f & kFlagProg;
-                const bool ckpt = f & kFlagCkpt;
-                if (compute && data) code = 'B';
-                else if (compute) code = 'C';
-                else if (ckpt) code = 'K';
-                else if (data) code = 'D';
-                else if (prog) code = 'P';
-            }
-            config_.timeline->record(q, code);
-        }
-    }
-
     /// Phase 4: completions, promotions, iteration boundary.  Returns true
     /// when the final iteration finished during this slot.
     bool end_of_slot(long long t) {
         // Only holders carry activity flags (every flagged worker got them
         // from a transfer or computation it holds), so this sweep also
-        // clears the flags record_timeline has consumed.
+        // clears the flags record_slots has consumed.
         for (int q = next_holder(0); q >= 0; q = next_holder(q + 1)) {
             auto w = workers_[q];
             slot_flags_[q] = 0;
@@ -1641,11 +1575,52 @@ private:
         reg->counter("sim.slots_stepped").add(work_.slots_stepped);
     }
 
+    /// Actions of the slot (or steady stretch) in progress, flushed to the
+    /// action trace by record_slots.
     void record_recv(ProcId q, int value) {
-        if (config_.actions) config_.actions->set_recv(q, value);
+        if (config_.actions) slot_recv_.push_back({q, value});
     }
     void record_compute(ProcId q, int task) {
-        if (config_.actions) config_.actions->set_compute(q, task);
+        if (config_.actions) slot_compute_.push_back({q, task});
+    }
+
+    /// The recorders' one write site: appends slots [from, to), which all
+    /// looked like the one just processed — each worker's timeline code
+    /// from its state and slot_flags_, and one action row per slot carrying
+    /// the collected recv/compute pairs.  Returns at once when no recorder
+    /// is attached.
+    void record_slots(long long from, long long to) {
+        if (config_.timeline) {
+            for (int q = 0; q < pf_.size(); ++q) {
+                char code = '.';
+                const ProcState st = workers_[q].state;
+                if (st == ProcState::Down) code = 'd';
+                else if (st == ProcState::Reclaimed) code = 'r';
+                else {
+                    const std::uint8_t f = slot_flags_[q];
+                    const bool compute = f & kFlagCompute;
+                    const bool data = f & kFlagData;
+                    if (compute && data) code = 'B';
+                    else if (compute) code = 'C';
+                    else if (f & kFlagCkpt) code = 'K';
+                    else if (data) code = 'D';
+                    else if (f & kFlagProg) code = 'P';
+                }
+                for (long long s = from; s < to; ++s)
+                    config_.timeline->record(q, code);
+            }
+        }
+        if (config_.actions) {
+            for (long long s = from; s < to; ++s) {
+                config_.actions->next_slot();
+                for (const auto& [q, value] : slot_recv_)
+                    config_.actions->set_recv(q, value);
+                for (const auto& [q, task] : slot_compute_)
+                    config_.actions->set_compute(q, task);
+            }
+            slot_recv_.clear();
+            slot_compute_.clear();
+        }
     }
 
     void emit(EventKind kind, ProcId proc, int logical = -1,
@@ -2002,10 +1977,10 @@ private:
     std::vector<std::pair<int, ProcId>> replica_plan_;
     std::vector<int> planned_logical_; ///< this round's replica targets
     std::vector<ProcId> changed_; ///< phase 1: workers consulted this slot
-    /// fast-forward: each slot's constant (worker, recv) and
-    /// (worker, compute) actions
-    std::vector<std::pair<ProcId, int>> ff_recv_;
-    std::vector<std::pair<ProcId, int>> ff_compute_;
+    /// record_recv/record_compute: the current slot's (worker, recv) and
+    /// (worker, compute) actions, constant across an elided stretch
+    std::vector<std::pair<ProcId, int>> slot_recv_;
+    std::vector<std::pair<ProcId, int>> slot_compute_;
 };
 
 } // namespace

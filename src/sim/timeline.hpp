@@ -7,6 +7,7 @@
 ///   'd' DOWN   'r' RECLAIMED   '.' UP and idle
 ///   'P' receiving the program      'D' receiving task data
 ///   'C' computing                  'B' computing + receiving data
+///   'K' uploading a checkpoint
 
 #include <string>
 #include <vector>

@@ -6,6 +6,7 @@
 #include <memory>
 #include <sstream>
 
+#include "ckpt/registry.hpp"
 #include "core/factory.hpp"
 #include "markov/gen.hpp"
 #include "sim/engine.hpp"
@@ -181,6 +182,42 @@ TEST(TimelineRecording, StateCodesAppear) {
     ASSERT_TRUE(sim.run(*sched).completed);
     EXPECT_EQ(timeline.at(0, 1), 'r');
     EXPECT_EQ(timeline.at(0, 2), 'd');
+}
+
+TEST(TimelineRecording, CheckpointUploadShowsK) {
+    // p=1, w=6, Tprog=Tdata=1; absent for slots 0-5, then UP for good.
+    // periodic(k=2) snapshots after every two compute slots, and each
+    // upload holds the single transfer slot for 8 slots with compute
+    // paused.  The compute runs (2 slots) are too short for the event core
+    // to elide, so every non-dead slot it elides lies inside an upload.
+    const auto policy =
+        volsched::ckpt::CheckpointRegistry::instance().make("periodic(k=2)");
+    for (const bool event_driven : {false, true}) {
+        const std::string label = event_driven ? "event core" : "slot loop";
+        vs::Timeline timeline;
+        auto cfg = config(1, 1);
+        cfg.timeline = &timeline;
+        cfg.event_driven = event_driven;
+        cfg.checkpoint = policy.get();
+        cfg.checkpoint_cost = 8;
+        auto sim = make_replay_sim(vs::Platform::homogeneous(1, 6, 1, 1, 1),
+                                   {"dddrrru"}, cfg);
+        const auto sched = volsched::core::make_scheduler("mct");
+        const auto metrics = sim.run(*sched);
+        ASSERT_TRUE(metrics.completed) << label;
+        std::string row;
+        for (long long t = 0; t < timeline.slots(); ++t)
+            row.push_back(timeline.at(0, t));
+        EXPECT_EQ(row, "dddrrr" "PDCC" "KKKKKKKK" "CC" "KKKKKKKK" "CC")
+            << label;
+        if (event_driven) {
+            EXPECT_GT(metrics.dead_slots_skipped, 0) << label;
+            EXPECT_GT(metrics.slots_elided - metrics.dead_slots_skipped, 0)
+                << "no upload slot was elided";
+        } else {
+            EXPECT_EQ(metrics.slots_elided, 0) << label;
+        }
+    }
 }
 
 TEST(TimelineRecording, RenderHasRulerAndRows) {
