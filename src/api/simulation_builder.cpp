@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "ckpt/registry.hpp"
+#include "sim/trace_observer.hpp"
 #include "trace/empirical.hpp"
 
 namespace volsched::api {
@@ -165,24 +166,15 @@ SimulationBuilder& SimulationBuilder::audit(bool on) {
     return *this;
 }
 
-SimulationBuilder& SimulationBuilder::events(sim::EventLog* log) {
-    config_.events = log;
-    return *this;
-}
-
-SimulationBuilder& SimulationBuilder::timeline(sim::Timeline* tl) {
-    config_.timeline = tl;
-    return *this;
-}
-
-SimulationBuilder& SimulationBuilder::actions(sim::ActionTrace* at) {
-    config_.actions = at;
+SimulationBuilder& SimulationBuilder::observe(sim::RunObserver* observer) {
+    if (observer) config_.observers.push_back(observer);
     return *this;
 }
 
 SimulationBuilder& SimulationBuilder::trace(obs::TraceRecorder* rec) {
-    config_.tracer = rec;
-    return *this;
+    if (!rec) return *this;
+    owned_observers_.push_back(std::make_unique<sim::TraceObserver>(*rec));
+    return observe(owned_observers_.back().get());
 }
 
 SimulationBuilder& SimulationBuilder::checkpoint(const std::string& spec) {
@@ -286,6 +278,7 @@ sim::Simulation SimulationBuilder::build() {
         simulation.checkpoint_policy_ = std::move(checkpoint_);
         simulation.config_.checkpoint = simulation.checkpoint_policy_.get();
     }
+    simulation.owned_observers_ = std::move(owned_observers_);
     return simulation;
 }
 

@@ -42,6 +42,10 @@
 #include "sim/engine.hpp"
 #include "trace/replay.hpp"
 
+namespace volsched::obs {
+class TraceRecorder; // defined in obs/trace.hpp
+}
+
 namespace volsched::api {
 
 /// One availability source: per-processor models plus the belief chains the
@@ -116,13 +120,15 @@ public:
     SimulationBuilder& max_slots(long long n);
     SimulationBuilder& plan_class(sim::SchedulerClass c);
     SimulationBuilder& audit(bool on = true);
-    SimulationBuilder& events(sim::EventLog* log);
-    SimulationBuilder& timeline(sim::Timeline* tl);
-    SimulationBuilder& actions(sim::ActionTrace* at);
-    /// Attaches a sim-time tracer (obs/trace.hpp; not owned, may be null):
-    /// the run is recorded as per-worker spans exportable as
-    /// Perfetto-loadable Chrome trace JSON.  Observer-only — attaching a
-    /// tracer leaves every other output byte-identical.
+    /// Attaches a RunObserver (sim/observer.hpp; not owned, null is a
+    /// no-op) to every run: an EventLog, Timeline, ActionTrace or any
+    /// other listener.  Observer-only — attaching one leaves every other
+    /// output byte-identical.
+    SimulationBuilder& observe(sim::RunObserver* observer);
+    /// Attaches a sim-time tracer (obs/trace.hpp; not owned, null is a
+    /// no-op): the run is recorded as per-worker spans exportable as
+    /// Perfetto-loadable Chrome trace JSON.  The built Simulation owns the
+    /// sim::TraceObserver that feeds it.
     SimulationBuilder& trace(obs::TraceRecorder* rec);
 
     /// Attaches a checkpoint/restart policy by registry spec — "none",
@@ -173,6 +179,7 @@ private:
     std::optional<std::vector<markov::MarkovChain>> belief_override_;
     std::shared_ptr<markov::RealizedTraces> realized_;
     std::shared_ptr<const ckpt::CheckpointPolicy> checkpoint_;
+    std::vector<std::unique_ptr<sim::RunObserver>> owned_observers_;
     bool uninformed_ = false;
     bool cache_traces_ = true;
     sim::EngineConfig config_{};

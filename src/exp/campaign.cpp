@@ -402,14 +402,17 @@ read_manifest(const std::filesystem::path& dir) {
     if (magic != "volsched-campaign-manifest" || version != 1)
         fail("malformed manifest '" + path.string() + "'");
     CampaignManifest m;
+    // Byte counts go through a signed read: an unsigned one would take
+    // "-5" as a huge count.
+    long long jsonl_bytes = 0, csv_bytes = 0;
     std::string key;
     while (in >> key) {
         if (key == "fingerprint") in >> m.fingerprint;
         else if (key == "shard") in >> m.shard_index >> m.shard_count;
         else if (key == "jobs") in >> m.jobs_done >> m.jobs_total;
         else if (key == "instances") in >> m.instances_done;
-        else if (key == "jsonl") in >> m.jsonl_bytes;
-        else if (key == "csv") in >> m.csv_bytes;
+        else if (key == "jsonl") in >> jsonl_bytes;
+        else if (key == "csv") in >> csv_bytes;
         else if (key == "complete") {
             int c = 0;
             in >> c;
@@ -422,6 +425,20 @@ read_manifest(const std::filesystem::path& dir) {
             fail("malformed manifest value for '" + key + "' in '" +
                  path.string() + "'");
     }
+    if (m.shard_count < 1 || m.shard_index < 1 ||
+        m.shard_index > m.shard_count)
+        fail("manifest '" + path.string() + "' names shard " +
+             std::to_string(m.shard_index) + "/" +
+             std::to_string(m.shard_count) + ", which is impossible");
+    if (m.jobs_done < 0 || m.jobs_done > m.jobs_total)
+        fail("manifest '" + path.string() + "' checkpoints " +
+             std::to_string(m.jobs_done) + " of " +
+             std::to_string(m.jobs_total) +
+             " jobs, which is impossible (corrupted manifest?)");
+    if (m.instances_done < 0 || jsonl_bytes < 0 || csv_bytes < 0)
+        fail("manifest '" + path.string() + "' holds a negative count");
+    m.jsonl_bytes = static_cast<std::uint64_t>(jsonl_bytes);
+    m.csv_bytes = static_cast<std::uint64_t>(csv_bytes);
     return m;
 }
 
@@ -483,12 +500,6 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
                  "/" + std::to_string(cfg.shard_count));
         if (previous->jobs_total != static_cast<long long>(jobs.size()))
             fail("manifest job count disagrees with the grid");
-        if (previous->jobs_done < 0 ||
-            previous->jobs_done > previous->jobs_total)
-            fail("manifest checkpoints " +
-                 std::to_string(previous->jobs_done) + " of " +
-                 std::to_string(previous->jobs_total) +
-                 " jobs, which is impossible (corrupted manifest?)");
         if (cfg.write_csv != (previous->csv_bytes > 0))
             fail("the CSV sink cannot be toggled across a resume");
     }

@@ -13,12 +13,12 @@
 ///                              master transfers (program/data), compute,
 ///                              checkpoint uploads
 ///
-/// The tracer is an *observer*: the engine mirrors the same Event stream it
-/// gives EventLog into these calls, the tracer allocates on its own heap,
-/// consumes no RNG, and never feeds anything back — trace-on and trace-off
-/// runs are byte-identical in every other output (pinned by
-/// tests/test_obs.cpp in both stepping cores).  Spans carry sim-time only;
-/// wall-clock never appears here (rulebook R3).
+/// The tracer is an *observer*: sim::TraceObserver (sim/trace_observer.hpp)
+/// translates the engine's Event stream into these calls, the tracer
+/// allocates on its own heap, consumes no RNG, and never feeds anything
+/// back — trace-on and trace-off runs are byte-identical in every other
+/// output (pinned by tests/test_obs.cpp in both stepping cores).  Spans
+/// carry sim-time only; wall-clock never appears here (rulebook R3).
 ///
 /// Attach with SimulationBuilder::trace(&rec) or `volsched_sim --trace-out
 /// FILE`; scripts/check_trace.py validates the export in CI.

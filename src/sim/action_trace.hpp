@@ -12,6 +12,7 @@
 
 #include <vector>
 
+#include "sim/observer.hpp"
 #include "sim/platform.hpp"
 
 namespace volsched::sim {
@@ -23,22 +24,23 @@ struct RecordedAction {
     int compute = -1;
 };
 
-class ActionTrace {
+/// Attach as a RunObserver (EngineConfig::observers,
+/// SimulationBuilder::observe); each run replaces the previous one's rows.
+class ActionTrace : public RunObserver {
 public:
-    void begin(int procs) {
-        rows_.assign(static_cast<std::size_t>(procs), {});
+    void begin_run(const Platform& platform) override {
+        rows_.assign(static_cast<std::size_t>(platform.size()), {});
     }
 
-    /// Opens the next slot (one empty record per processor).
-    void next_slot() {
-        for (auto& row : rows_) row.emplace_back();
-    }
-
-    void set_recv(ProcId proc, int value) {
-        rows_[proc].back().recv = value;
-    }
-    void set_compute(ProcId proc, int task) {
-        rows_[proc].back().compute = task;
+    void on_slots(long long from, long long to,
+                  const SlotActivity& activity) override {
+        for (long long s = from; s < to; ++s) {
+            for (auto& row : rows_) row.emplace_back();
+            for (const auto& [q, value] : activity.recv)
+                rows_[q].back().recv = value;
+            for (const auto& [q, task] : activity.compute)
+                rows_[q].back().compute = task;
+        }
     }
 
     [[nodiscard]] int procs() const noexcept {

@@ -7,11 +7,12 @@
 #include <limits>
 #include <queue>
 #include <stdexcept>
+#include <type_traits>
 
 #include "ckpt/policy.hpp"
 #include "markov/expectation.hpp"
 #include "obs/registry.hpp"
-#include "obs/trace.hpp"
+#include "sim/events.hpp"
 #include "util/rng.hpp"
 
 namespace volsched::sim {
@@ -86,58 +87,41 @@ struct WorkerSoA {
         ckpt_committed.assign(n, 0);
     }
 
-    struct Ref {
-        ProcState& state;
-        std::uint8_t& has_program;
-        std::uint8_t& prog_in_flight;
-        int& prog_remaining;
-        long long& prog_start;
-        int& staged;
-        long long& data_start;
-        int& computing;
-        int& compute_remaining;
-        std::uint8_t& ckpt_in_flight;
-        int& ckpt_remaining;
-        long long& ckpt_start;
-        int& ckpt_progress;
-        int& since_ckpt;
-        int& compute_credit;
-        int& ckpt_committed;
-    };
-    struct ConstRef {
-        const ProcState& state;
-        const std::uint8_t& has_program;
-        const std::uint8_t& prog_in_flight;
-        const int& prog_remaining;
-        const long long& prog_start;
-        const int& staged;
-        const long long& data_start;
-        const int& computing;
-        const int& compute_remaining;
-        const std::uint8_t& ckpt_in_flight;
-        const int& ckpt_remaining;
-        const long long& ckpt_start;
-        const int& ckpt_progress;
-        const int& since_ckpt;
-        const int& compute_credit;
-        const int& ckpt_committed;
+    /// One worker's fields as references, const or not.
+    template <bool Const>
+    struct Bundle {
+        template <class T>
+        using F = std::conditional_t<Const, const T&, T&>;
+        F<ProcState> state;
+        F<std::uint8_t> has_program;
+        F<std::uint8_t> prog_in_flight;
+        F<int> prog_remaining;
+        F<long long> prog_start;
+        F<int> staged;
+        F<long long> data_start;
+        F<int> computing;
+        F<int> compute_remaining;
+        F<std::uint8_t> ckpt_in_flight;
+        F<int> ckpt_remaining;
+        F<long long> ckpt_start;
+        F<int> ckpt_progress;
+        F<int> since_ckpt;
+        F<int> compute_credit;
+        F<int> ckpt_committed;
     };
 
-    Ref operator[](int q) noexcept {
-        return {state[q],          has_program[q],   prog_in_flight[q],
-                prog_remaining[q], prog_start[q],    staged[q],
-                data_start[q],     computing[q],     compute_remaining[q],
-                ckpt_in_flight[q], ckpt_remaining[q], ckpt_start[q],
-                ckpt_progress[q],  since_ckpt[q],    compute_credit[q],
-                ckpt_committed[q]};
-    }
-    ConstRef operator[](int q) const noexcept {
-        return {state[q],          has_program[q],   prog_in_flight[q],
-                prog_remaining[q], prog_start[q],    staged[q],
-                data_start[q],     computing[q],     compute_remaining[q],
-                ckpt_in_flight[q], ckpt_remaining[q], ckpt_start[q],
-                ckpt_progress[q],  since_ckpt[q],    compute_credit[q],
-                ckpt_committed[q]};
+    Bundle<false> operator[](int q) noexcept { return bundle(*this, q); }
+    Bundle<true> operator[](int q) const noexcept { return bundle(*this, q); }
+
+private:
+    template <class Self>
+    static Bundle<std::is_const_v<Self>> bundle(Self& s, int q) noexcept {
+        return {s.state[q],          s.has_program[q],   s.prog_in_flight[q],
+                s.prog_remaining[q], s.prog_start[q],    s.staged[q],
+                s.data_start[q],     s.computing[q],     s.compute_remaining[q],
+                s.ckpt_in_flight[q], s.ckpt_remaining[q], s.ckpt_start[q],
+                s.ckpt_progress[q],  s.since_ckpt[q],    s.compute_credit[q],
+                s.ckpt_committed[q]};
     }
 };
 
@@ -274,9 +258,7 @@ public:
     RunMetrics run(Scheduler& sched) {
         start_iteration();
         metrics_.per_proc.assign(static_cast<std::size_t>(pf_.size()), {});
-        if (config_.timeline) config_.timeline->begin(pf_.size());
-        if (config_.actions) config_.actions->begin(pf_.size());
-        if (config_.tracer) config_.tracer->begin_run(pf_.size());
+        for (RunObserver* o : config_.observers) o->begin_run(pf_);
         slot_flags_.assign(static_cast<std::size_t>(pf_.size()), 0);
         long long t = 0;
         while (t < config_.max_slots) {
@@ -308,37 +290,35 @@ public:
             advance_states(t);
             int budget = pf_.ncom;
             transfers_this_slot_ = 0;
-            advance_in_flight(budget);
+            build_active();
+            advance_in_flight(budget, 1);
             start_pending_data(t, budget);
             start_checkpoints(t, budget);
             plan_and_commit(sched, t, budget);
-            advance_compute();
+            advance_compute(1);
             if (config_.audit) audit_bandwidth();
-            record_slots(t, t + 1);
-            const bool finished = end_of_slot(t);
+            record_slots(t, t + 1, /*elided=*/false);
+            metrics_.completed = end_of_slot(t);
             if (config_.audit) {
                 audit_invariants();
                 audit_worker_sets();
             }
-            if (finished) {
-                metrics_.completed = true;
-                metrics_.makespan = t + 1;
-                metrics_.iterations_completed = config_.iterations;
-                if (config_.tracer) config_.tracer->end_run(t + 1);
-                publish_work();
-                return metrics_;
-            }
+            if (metrics_.completed) return finish(t + 1);
             ++t;
         }
-        metrics_.completed = false;
-        metrics_.makespan = config_.max_slots;
+        return finish(config_.max_slots);
+    }
+
+private:
+    /// Closes the run at `end` (the makespan, or the horizon).
+    RunMetrics finish(long long end) {
+        metrics_.makespan = end;
         metrics_.iterations_completed = iterations_done_;
-        if (config_.tracer) config_.tracer->end_run(config_.max_slots);
+        for (RunObserver* o : config_.observers) o->end_run(end);
         publish_work();
         return metrics_;
     }
 
-private:
     // ---- iteration bookkeeping ---------------------------------------
 
     void start_iteration() {
@@ -388,8 +368,13 @@ private:
             }
         }
         up_count_ = up_.size();
+        count_up_slots(1);
+    }
+
+    /// Credits every UP worker with `n` UP slots.
+    void count_up_slots(long long n) {
         for (int q = next_up(0); q >= 0; q = next_up(q + 1))
-            ++metrics_.per_proc[q].up_slots;
+            metrics_.per_proc[q].up_slots += n;
     }
 
     /// Reads worker q's state at slot t and re-arms its change cache: the
@@ -436,45 +421,11 @@ private:
         }
     }
 
-    /// Fast-forwards the initial dead stretch [from, to): every worker is
-    /// DOWN or RECLAIMED for the whole range, so the only per-slot
-    /// obligations are the recorders (timelines and action traces must
-    /// stay bit-identical to the slot loop).  Audit mode re-verifies the
-    /// premise slot by slot before trusting the jump.
-    void skip_dead_range(long long from, long long to) {
-        if (config_.audit) {
-            for (int q = 0; q < pf_.size(); ++q) {
-                const auto w = workers_[q];
-                if (w.state == ProcState::Up)
-                    throw std::logic_error(
-                        "audit: dead-slot skip with an UP worker");
-                if (w.computing != -1 && w.compute_remaining == 0)
-                    throw std::logic_error(
-                        "audit: dead-slot skip with a pending completion");
-                if (w.computing == -1 && w.staged != -1 &&
-                    instances_[w.staged].data_done)
-                    throw std::logic_error(
-                        "audit: dead-slot skip with a pending promotion");
-                if (w.ckpt_in_flight && w.ckpt_remaining == 0)
-                    throw std::logic_error(
-                        "audit: dead-slot skip with a pending checkpoint "
-                        "commit");
-                for (long long s = from; s < to; ++s)
-                    if (traces_->trace(q).state_at(s) != w.state)
-                        throw std::logic_error(
-                            "audit: dead-slot skip crossed a state change");
-            }
-        }
-        record_slots(from, to);
-        if (config_.tracer) config_.tracer->elided(from, to, true);
-        metrics_.dead_slots_skipped += to - from;
-    }
-
     /// Slot-0 case of the event core's dead-stretch elision: when the
     /// realization starts with every worker DOWN or RECLAIMED, slot 0's
     /// only observable work is the initial StateChange emission and the
     /// DOWN accounting (nothing is committed yet, so handle_down has
-    /// nothing to release) — phase 1 alone.  Run it, then skip the
+    /// nothing to release) — phase 1 alone.  Run it, then fast-forward the
     /// stretch.  Returns false when some worker starts UP (the normal loop
     /// then runs slot 0).
     bool try_skip_initial_dead(long long& t) {
@@ -485,10 +436,9 @@ private:
         }
         slot_ = 0;
         advance_states(0);
-        const long long change = next_state_change(0);
-        skip_dead_range(0, change);
-        metrics_.slots_elided += change;
-        t = change;
+        t = next_state_change(0);
+        build_active(); // empty: nothing is in flight yet
+        fast_forward(0, t);
         return true;
     }
 
@@ -582,13 +532,9 @@ private:
                 // A worker with since_ckpt == 0 is first consulted one
                 // slot later (after one slot of the stretch has computed).
                 const int lead = w.since_ckpt > 0 ? 0 : 1;
-                ckpt::CheckpointView view;
-                view.belief = beliefs_ ? &(*beliefs_)[q] : nullptr;
-                view.cost = config_.checkpoint_cost;
-                view.w = pf_.w[q];
-                view.computed = w.since_ckpt + lead;
-                view.remaining = w.compute_remaining - lead;
-                view.slot = t + lead;
+                const ckpt::CheckpointView view =
+                    ckpt_view(q, w.since_ckpt + lead,
+                              w.compute_remaining - lead, t + lead);
                 if (view.remaining <= 0) continue; // completion comes first
                 const long long quiet =
                     config_.checkpoint->quiet_horizon(view);
@@ -679,99 +625,106 @@ private:
     [[nodiscard]] bool proactive_would_act() {
         if (config_.plan_class != SchedulerClass::Proactive || !beliefs_)
             return false;
-        double best_alt = std::numeric_limits<double>::infinity();
+        const IdleAlternative alt = best_idle_alternative();
+        if (std::isinf(alt.expected)) return false;
+        for (int q = next_holder(0); q >= 0; q = next_holder(q + 1)) {
+            const auto w = workers_[q];
+            if (w.state != ProcState::Reclaimed) continue;
+            if (w.staged == -1 && w.computing == -1) continue;
+            if (alt.drifting) return true; // conservatively simulate the slot
+            if (redo_is_faster(q, alt.expected)) return true;
+        }
+        return false;
+    }
+
+    /// The best idle alternative for proactive un-enrolment: the least
+    /// expected time (under the belief chains, RECLAIMED detours included)
+    /// for an idle UP worker to run a whole pipeline — program if missing,
+    /// data, compute — or infinity when no UP worker is idle.  `drifting`
+    /// is set when some idle worker's program download is in flight, so
+    /// the estimate shrinks slot by slot.
+    struct IdleAlternative {
+        double expected = std::numeric_limits<double>::infinity();
         bool drifting = false;
+    };
+    [[nodiscard]] IdleAlternative best_idle_alternative() {
+        IdleAlternative alt;
         for (int q = next_up(0); q >= 0; q = next_up(q + 1)) {
             const auto w = workers_[q];
             if (w.staged != -1 || w.computing != -1) continue;
-            if (!w.has_program && w.prog_in_flight) drifting = true;
+            if (!w.has_program && w.prog_in_flight) alt.drifting = true;
             const double need =
                 (w.has_program
                      ? 0.0
                      : static_cast<double>(w.prog_in_flight ? w.prog_remaining
                                                             : pf_.t_prog)) +
                 pf_.t_data + pf_.w[q];
-            best_alt = std::min(
-                best_alt, markov::e_workload((*beliefs_)[q].matrix(), need));
+            alt.expected = std::min(
+                alt.expected,
+                markov::e_workload((*beliefs_)[q].matrix(), need));
         }
-        if (std::isinf(best_alt)) return false;
-        for (int q = next_holder(0); q >= 0; q = next_holder(q + 1)) {
-            const auto w = workers_[q];
-            if (w.state != ProcState::Reclaimed) continue;
-            if (w.staged == -1 && w.computing == -1) continue;
-            if (drifting) return true; // conservatively simulate the slot
-            const auto& m = (*beliefs_)[q].matrix();
-            const double p_rr = m.p_rr();
-            if (p_rr >= 1.0) continue;
-            const double expected_return = 1.0 / (1.0 - p_rr);
-            int remaining = 0;
-            if (w.computing != -1) remaining += w.compute_remaining;
-            if (w.staged != -1)
-                remaining += instances_[w.staged].data_remaining + pf_.w[q];
-            if (best_alt < expected_return + markov::e_workload(m, remaining))
-                return true;
-        }
-        return false;
+        return alt;
+    }
+
+    /// True when an idle worker expected to take `best_alt` slots beats
+    /// suspended worker q at finishing q's committed pipeline: q's expected
+    /// wait to leave RECLAIMED plus its remaining data and compute.  A
+    /// worker whose belief never leaves RECLAIMED is never un-enrolled.
+    [[nodiscard]] bool redo_is_faster(ProcId q, double best_alt) const {
+        const auto w = workers_[q];
+        const auto& m = (*beliefs_)[q].matrix();
+        const double p_rr = m.p_rr();
+        if (p_rr >= 1.0) return false;
+        const double expected_return = 1.0 / (1.0 - p_rr);
+        int remaining = 0;
+        if (w.computing != -1) remaining += w.compute_remaining;
+        if (w.staged != -1)
+            remaining += instances_[w.staged].data_remaining + pf_.w[q];
+        return best_alt < expected_return + markov::e_workload(m, remaining);
     }
 
     /// Advances the steady stretch [from, to) arithmetically: states are
     /// frozen, the first min(ncom, |active_|) transfers and every
-    /// unobstructed computation drain one unit per slot, and the recorders
-    /// receive the identical per-slot output the slot loop would have
+    /// unobstructed computation drain one unit per slot, and the observers
+    /// receive the identical per-slot activity the slot loop would have
     /// produced.  Preconditions: steady_horizon(from) >= to, and `active_`
     /// is the list it built.
     void fast_forward(long long from, long long to) {
         const long long n = to - from;
         if (config_.audit) audit_steady_range(from, to);
-        const int advancing =
-            std::min(pf_.ncom, static_cast<int>(active_.size()));
-        for (int i = 0; i < advancing; ++i) {
-            const ActiveTransfer& tr = active_[i];
-            auto w = workers_[tr.proc];
-            if (tr.kind == TransferKind::Prog) {
-                w.prog_remaining -= static_cast<int>(n);
-                slot_flags_[tr.proc] |= kFlagProg;
-                record_recv(tr.proc, -2);
-            } else if (tr.kind == TransferKind::Data) {
-                instances_[w.staged].data_remaining -= static_cast<int>(n);
-                slot_flags_[tr.proc] |= kFlagData;
-                record_recv(tr.proc, instances_[w.staged].logical);
-            } else {
-                w.ckpt_remaining -= static_cast<int>(n);
-                slot_flags_[tr.proc] |= kFlagCkpt;
-                metrics_.checkpoint_slots += n;
-                continue;
-            }
-            metrics_.per_proc[tr.proc].transfer_slots += n;
-            metrics_.transfer_slots += n;
-        }
-        for (int q = next_up(0); q >= 0; q = next_up(q + 1)) {
-            auto w = workers_[q];
-            metrics_.per_proc[q].up_slots += n;
-            if (w.computing == -1 || w.ckpt_in_flight) continue;
-            w.compute_remaining -= static_cast<int>(n);
-            w.since_ckpt += static_cast<int>(n);
-            metrics_.compute_slots += n;
-            metrics_.per_proc[q].compute_slots += n;
-            slot_flags_[q] |= kFlagCompute;
-            record_compute(q, instances_[w.computing].logical);
-        }
+        int budget = pf_.ncom;
+        advance_in_flight(budget, n);
+        count_up_slots(n);
+        advance_compute(n);
         metrics_.slots_elided += n;
         if (up_count_ == 0) metrics_.dead_slots_skipped += n;
-        if (config_.tracer) config_.tracer->elided(from, to, up_count_ == 0);
-        record_slots(from, to);
+        record_slots(from, to, /*elided=*/true);
         // Every flag above went to a holder.
         for (int q = next_holder(0); q >= 0; q = next_holder(q + 1))
             slot_flags_[q] = 0;
     }
 
-    /// Audit-mode re-verification of an elided range: replays the stretch's
-    /// premises slot by slot against the realized trace, the drain
-    /// arithmetic, and the checkpoint policy's actual should_checkpoint.
+    /// Audit-mode re-verification of an elided range: checks that the
+    /// previous slot left nothing to materialize (and, in a dead range, no
+    /// worker UP), then replays the stretch's premises slot by slot against
+    /// the realized trace, the drain arithmetic, and the checkpoint
+    /// policy's actual should_checkpoint.
     void audit_steady_range(long long from, long long to) {
         const long long n = to - from;
         for (int q = 0; q < pf_.size(); ++q) {
             const auto w = workers_[q];
+            if (up_count_ == 0 && w.state == ProcState::Up)
+                throw std::logic_error("audit: dead range with an UP worker");
+            if (w.computing != -1 && w.compute_remaining == 0)
+                throw std::logic_error(
+                    "audit: event elision with a pending completion");
+            if (w.computing == -1 && w.staged != -1 &&
+                instances_[w.staged].data_done)
+                throw std::logic_error(
+                    "audit: event elision with a pending promotion");
+            if (w.ckpt_in_flight && w.ckpt_remaining == 0)
+                throw std::logic_error(
+                    "audit: event elision with a pending checkpoint commit");
             for (long long s = from; s < to; ++s)
                 if (traces_->trace(q).state_at(s) != w.state)
                     throw std::logic_error(
@@ -807,14 +760,8 @@ private:
                 const int remaining =
                     w.compute_remaining - static_cast<int>(k);
                 if (computed <= 0 || remaining <= 0) continue;
-                ckpt::CheckpointView view;
-                view.belief = beliefs_ ? &(*beliefs_)[q] : nullptr;
-                view.cost = config_.checkpoint_cost;
-                view.w = pf_.w[q];
-                view.computed = computed;
-                view.remaining = remaining;
-                view.slot = from + k;
-                if (config_.checkpoint->should_checkpoint(view))
+                if (config_.checkpoint->should_checkpoint(
+                        ckpt_view(q, computed, remaining, from + k)))
                     throw std::logic_error(
                         "audit: event elision crossed a checkpoint "
                         "decision");
@@ -837,22 +784,23 @@ private:
             metrics_.wasted_transfer_slots += pf_.t_prog;
         }
         w.has_program = false;
-        if (w.staged != -1) {
-            emit(EventKind::WorkLost, q, instances_[w.staged].logical,
-                 instances_[w.staged].kind == InstKind::Replica);
-            release_instance(w.staged, /*to_pool=*/true);
-        }
-        if (w.computing != -1) {
-            emit(EventKind::WorkLost, q, instances_[w.computing].logical,
-                 instances_[w.computing].kind == InstKind::Replica);
-            release_instance(w.computing, /*to_pool=*/true);
-        }
+        release_work(q, EventKind::WorkLost);
         sync_holder(q);
         // Sticky plans targeting a crashed processor are invalidated.
         if (config_.plan_class == SchedulerClass::Passive) {
             for (auto& inst : instances_)
                 if (inst.status == InstStatus::Pool && inst.planned == q)
                     inst.planned = kNoProc;
+        }
+    }
+
+    /// Releases worker q's staged, then computing, instance to the pool,
+    /// reporting each as `why`.
+    void release_work(ProcId q, EventKind why) {
+        for (const int id : {workers_.staged[q], workers_.computing[q]}) {
+            if (id == -1) continue;
+            emit(why, q, instances_[id]);
+            release_instance(id, /*to_pool=*/true);
         }
     }
 
@@ -874,8 +822,7 @@ private:
                 w.ckpt_remaining = 0;
                 w.ckpt_start = -1;
                 w.ckpt_progress = 0;
-                emit(EventKind::CheckpointLost, q, inst.logical,
-                     inst.kind == InstKind::Replica);
+                emit(EventKind::CheckpointLost, q, inst);
             }
             // Lost progress: only the work THIS incarnation computed counts
             // (its initial credit was computed by an earlier incarnation),
@@ -915,10 +862,6 @@ private:
         }
     }
 
-    /// Phase 2a: advance in-flight transfers to/from UP workers, FIFO by
-    /// start.  Checkpoint uploads ride the same queue as program and data
-    /// downloads: every slot-unit of bandwidth comes out of the one `ncom`
-    /// budget regardless of direction.
     /// Rebuilds `active_`: the slot's in-flight transfers to/from UP
     /// workers in bandwidth-allocation order (FIFO by start, then proc,
     /// then kind).  The first min(ncom, size) entries are the ones that
@@ -946,33 +889,39 @@ private:
                   });
     }
 
-    void advance_in_flight(int& budget) {
-        build_active();
+    /// Phase 2a: advance in-flight transfers to/from UP workers, FIFO by
+    /// start — the first `budget` entries of `active_`, by `n` slots each
+    /// (one for a stepped slot, a whole steady stretch for fast_forward).
+    /// Checkpoint uploads ride the same queue as program and data
+    /// downloads: every slot-unit of bandwidth comes out of the one `ncom`
+    /// budget regardless of direction.
+    void advance_in_flight(int& budget, long long n) {
+        const int units = static_cast<int>(n);
         for (const auto& tr : active_) {
             if (budget == 0) break;
             auto w = workers_[tr.proc];
             if (tr.kind == TransferKind::Prog) {
-                --w.prog_remaining;
-                slot_flags_[tr.proc] |= kFlagProg;
+                w.prog_remaining -= units;
+                slot_flags_[tr.proc] |= SlotActivity::kProgram;
                 record_recv(tr.proc, -2);
             } else if (tr.kind == TransferKind::Data) {
-                --instances_[w.staged].data_remaining;
-                slot_flags_[tr.proc] |= kFlagData;
+                instances_[w.staged].data_remaining -= units;
+                slot_flags_[tr.proc] |= SlotActivity::kData;
                 record_recv(tr.proc, instances_[w.staged].logical);
             } else {
                 // Checkpoint upload: master-bound, so it is not a received
                 // action (the action trace records the receive/compute
                 // model the off-line validator checks) and not counted in
                 // transfer_slots (program + data); it has its own counter.
-                --w.ckpt_remaining;
-                slot_flags_[tr.proc] |= kFlagCkpt;
-                ++metrics_.checkpoint_slots;
+                w.ckpt_remaining -= units;
+                slot_flags_[tr.proc] |= SlotActivity::kCheckpoint;
+                metrics_.checkpoint_slots += n;
                 ++transfers_this_slot_;
                 --budget;
                 continue;
             }
-            ++metrics_.per_proc[tr.proc].transfer_slots;
-            ++metrics_.transfer_slots;
+            metrics_.per_proc[tr.proc].transfer_slots += n;
+            metrics_.transfer_slots += n;
             ++transfers_this_slot_;
             --budget;
         }
@@ -989,21 +938,14 @@ private:
             auto w = workers_[q];
             if (w.computing == -1 || w.ckpt_in_flight) continue;
             if (w.since_ckpt <= 0 || w.compute_remaining <= 0) continue;
-            ckpt::CheckpointView view;
-            view.belief = beliefs_ ? &(*beliefs_)[q] : nullptr;
-            view.cost = config_.checkpoint_cost;
-            view.w = pf_.w[q];
-            view.computed = w.since_ckpt;
-            view.remaining = w.compute_remaining;
-            view.slot = t;
-            if (!config_.checkpoint->should_checkpoint(view)) continue;
+            if (!config_.checkpoint->should_checkpoint(
+                    ckpt_view(q, w.since_ckpt, w.compute_remaining, t)))
+                continue;
             const int progress = pf_.w[q] - w.compute_remaining;
-            const int logical = instances_[w.computing].logical;
-            const bool replica =
-                instances_[w.computing].kind == InstKind::Replica;
+            const Instance& inst = instances_[w.computing];
             if (config_.checkpoint_cost == 0) { // zero-cost: instant commit
-                emit(EventKind::CheckpointStart, q, logical, replica);
-                commit_checkpoint(q, logical, progress);
+                emit(EventKind::CheckpointStart, q, inst);
+                commit_checkpoint(q, inst.logical, progress);
                 w.since_ckpt = 0;
                 continue;
             }
@@ -1016,9 +958,22 @@ private:
             ++metrics_.checkpoint_slots;
             ++transfers_this_slot_;
             --budget;
-            slot_flags_[q] |= kFlagCkpt;
-            emit(EventKind::CheckpointStart, q, logical, replica);
+            slot_flags_[q] |= SlotActivity::kCheckpoint;
+            emit(EventKind::CheckpointStart, q, inst);
         }
+    }
+
+    /// The checkpoint policy's view of worker q with `computed` slots since
+    /// its last snapshot and `remaining` to go, at `slot`.
+    [[nodiscard]] ckpt::CheckpointView ckpt_view(ProcId q, int computed,
+                                                 int remaining,
+                                                 long long slot) const {
+        return {.belief = beliefs_ ? &(*beliefs_)[q] : nullptr,
+                .cost = config_.checkpoint_cost,
+                .w = pf_.w[q],
+                .computed = computed,
+                .remaining = remaining,
+                .slot = slot};
     }
 
     /// Records `progress` slots (on worker q's scale) as the logical task's
@@ -1068,28 +1023,34 @@ private:
                                  : a < b;
                   });
         for (ProcId q : pending_) {
-            auto w = workers_[q];
-            Instance& inst = instances_[w.staged];
-            if (pf_.t_data == 0) { // zero-cost data: completes instantly
-                inst.data_started = true;
-                inst.data_done = true;
-                emit(EventKind::DataStart, q, inst.logical,
-                     inst.kind == InstKind::Replica);
-                continue;
-            }
-            if (budget == 0) break;
-            inst.data_started = true;
-            w.data_start = t;
-            --inst.data_remaining;
-            ++metrics_.per_proc[q].transfer_slots;
-            ++metrics_.transfer_slots;
-            ++transfers_this_slot_;
-            --budget;
-            slot_flags_[q] |= kFlagData;
-            record_recv(q, inst.logical);
-            emit(EventKind::DataStart, q, inst.logical,
-                 inst.kind == InstKind::Replica);
+            if (pf_.t_data > 0 && budget == 0) break;
+            start_data(instances_[workers_.staged[q]], q, t, budget);
         }
+    }
+
+    /// Starts the data transfer of `inst`, staged on q: complete at once
+    /// when data is free, otherwise its first slot-unit of bandwidth now.
+    void start_data(Instance& inst, ProcId q, long long t, int& budget) {
+        inst.data_started = true;
+        if (pf_.t_data == 0) {
+            inst.data_done = true;
+        } else {
+            workers_.data_start[q] = t;
+            --inst.data_remaining;
+            spend_download(q, budget, SlotActivity::kData, inst.logical);
+        }
+        emit(EventKind::DataStart, q, inst);
+    }
+
+    /// Books one slot-unit of master bandwidth for a download to q that
+    /// receives `recv` (-2: program, else task data).
+    void spend_download(ProcId q, int& budget, std::uint8_t flag, int recv) {
+        ++metrics_.per_proc[q].transfer_slots;
+        ++metrics_.transfer_slots;
+        ++transfers_this_slot_;
+        --budget;
+        slot_flags_[q] |= flag;
+        record_recv(q, recv);
     }
 
     /// Phase 2c: a heuristic round (Section 6): assign pool originals one by
@@ -1148,8 +1109,7 @@ private:
         if (config_.audit) audit_round_scratch();
 
         if (must_plan) {
-            if (config_.tracer)
-                config_.tracer->instant_engine(t, "sched round");
+            for (RunObserver* o : config_.observers) o->on_round(t);
             sched.begin_round(view);
 
             eligible_.clear();
@@ -1266,52 +1226,14 @@ private:
     void proactive_reassess() {
         if (config_.plan_class != SchedulerClass::Proactive || !beliefs_)
             return;
-        // Best idle-alternative expected pipeline: program (if missing) +
-        // data + compute, inflated by expected RECLAIMED detours.
-        double best_alt = std::numeric_limits<double>::infinity();
-        for (int q = next_up(0); q >= 0; q = next_up(q + 1)) {
-            const auto w = workers_[q];
-            if (w.staged != -1 || w.computing != -1) continue;
-            const double need =
-                (w.has_program
-                     ? 0.0
-                     : static_cast<double>(w.prog_in_flight ? w.prog_remaining
-                                                            : pf_.t_prog)) +
-                pf_.t_data + pf_.w[q];
-            best_alt = std::min(
-                best_alt,
-                markov::e_workload((*beliefs_)[q].matrix(), need));
-        }
+        const double best_alt = best_idle_alternative().expected;
         if (std::isinf(best_alt)) return;
-
         for (int q = next_holder(0); q >= 0; q = next_holder(q + 1)) {
-            auto w = workers_[q];
+            const auto w = workers_[q];
             if (w.state != ProcState::Reclaimed) continue;
             if (w.staged == -1 && w.computing == -1) continue;
-            const auto& m = (*beliefs_)[q].matrix();
-            const double p_rr = m.p_rr();
-            if (p_rr >= 1.0) continue; // handled below as infinite wait
-            const double expected_return = 1.0 / (1.0 - p_rr);
-            int remaining = 0;
-            if (w.computing != -1) remaining += w.compute_remaining;
-            if (w.staged != -1)
-                remaining +=
-                    instances_[w.staged].data_remaining + pf_.w[q];
-            const double est_current =
-                expected_return + markov::e_workload(m, remaining);
-            if (best_alt >= est_current) continue;
-            if (w.staged != -1) {
-                emit(EventKind::ProactiveCancel, q,
-                     instances_[w.staged].logical,
-                     instances_[w.staged].kind == InstKind::Replica);
-                release_instance(w.staged, /*to_pool=*/true);
-            }
-            if (w.computing != -1) {
-                emit(EventKind::ProactiveCancel, q,
-                     instances_[w.computing].logical,
-                     instances_[w.computing].kind == InstKind::Replica);
-                release_instance(w.computing, /*to_pool=*/true);
-            }
+            if (!redo_is_faster(q, best_alt)) continue;
+            release_work(q, EventKind::ProactiveCancel);
             ++metrics_.proactive_cancellations;
         }
     }
@@ -1324,27 +1246,9 @@ private:
         if (w.state != ProcState::Up || w.staged != -1) return false;
         if (w.has_program) {
             // Needs a data transfer right away.
-            if (pf_.t_data == 0) {
-                stage(inst, id, q, t);
-                inst.data_started = true;
-                inst.data_done = true;
-                emit(EventKind::DataStart, q, inst.logical,
-                     inst.kind == InstKind::Replica);
-                return true;
-            }
-            if (budget == 0) return false;
+            if (pf_.t_data > 0 && budget == 0) return false;
             stage(inst, id, q, t);
-            inst.data_started = true;
-            w.data_start = t;
-            --inst.data_remaining;
-            ++metrics_.per_proc[q].transfer_slots;
-            ++metrics_.transfer_slots;
-            ++transfers_this_slot_;
-            --budget;
-            slot_flags_[q] |= kFlagData;
-            record_recv(q, inst.logical);
-            emit(EventKind::DataStart, q, inst.logical,
-                 inst.kind == InstKind::Replica);
+            start_data(inst, q, t, budget);
             return true;
         }
         if (!w.prog_in_flight) {
@@ -1359,14 +1263,8 @@ private:
             w.prog_in_flight = true;
             w.prog_remaining = pf_.t_prog - 1; // this slot transfers already
             w.prog_start = t;
-            ++metrics_.per_proc[q].transfer_slots;
-            ++metrics_.transfer_slots;
-            ++transfers_this_slot_;
-            --budget;
-            slot_flags_[q] |= kFlagProg;
-            record_recv(q, -2);
-            emit(EventKind::ProgStart, q, inst.logical,
-                 inst.kind == InstKind::Replica);
+            spend_download(q, budget, SlotActivity::kProgram, -2);
+            emit(EventKind::ProgStart, q, inst);
             stage(inst, id, q, t);
             return true;
         }
@@ -1384,18 +1282,20 @@ private:
         sync_holder(q);
     }
 
-    void advance_compute() {
+    /// Phase 3, for `n` slots: every UP worker holding a data-complete
+    /// task computes, unless its snapshot is uploading.
+    void advance_compute(long long n) {
         for (int q = next_up_holder(0); q >= 0; q = next_up_holder(q + 1)) {
             auto w = workers_[q];
             if (w.computing == -1) continue;
             // Computation pauses while the worker's snapshot uploads — the
             // classic checkpoint overhead the policies must amortize.
             if (w.ckpt_in_flight) continue;
-            --w.compute_remaining;
-            ++w.since_ckpt;
-            ++metrics_.compute_slots;
-            ++metrics_.per_proc[q].compute_slots;
-            slot_flags_[q] |= kFlagCompute;
+            w.compute_remaining -= static_cast<int>(n);
+            w.since_ckpt += static_cast<int>(n);
+            metrics_.compute_slots += n;
+            metrics_.per_proc[q].compute_slots += n;
+            slot_flags_[q] |= SlotActivity::kCompute;
             record_compute(q, instances_[w.computing].logical);
         }
     }
@@ -1421,8 +1321,7 @@ private:
                 if (inst.data_started && inst.data_remaining == 0 &&
                     !inst.data_done) {
                     inst.data_done = true;
-                    emit(EventKind::DataComplete, q, inst.logical,
-                         inst.kind == InstKind::Replica);
+                    emit(EventKind::DataComplete, q, inst);
                 }
             }
             if (w.ckpt_in_flight && w.ckpt_remaining == 0) {
@@ -1469,12 +1368,10 @@ private:
                     w.ckpt_committed = credit;
                     metrics_.saved_compute_slots += credit;
                     ++metrics_.recoveries;
-                    emit(EventKind::Recovery, q, inst.logical,
-                         /*replica=*/false);
+                    emit(EventKind::Recovery, q, inst);
                 }
             }
-            emit(EventKind::ComputeStart, q, instances_[w.computing].logical,
-                 instances_[w.computing].kind == InstKind::Replica);
+            emit(EventKind::ComputeStart, q, instances_[w.computing]);
         }
         if (remaining_logical_ == 0) {
             emit(EventKind::IterationComplete, kNoProc);
@@ -1502,8 +1399,7 @@ private:
         ++metrics_.tasks_completed;
         ++metrics_.per_proc[inst.proc].tasks_completed;
         if (inst.kind == InstKind::Replica) ++metrics_.replica_wins;
-        emit(EventKind::TaskComplete, inst.proc, inst.logical,
-             inst.kind == InstKind::Replica);
+        emit(EventKind::TaskComplete, inst.proc, inst);
         // Cancel all live siblings: their data/compute is wasted.
         for (int sid = 0; sid < static_cast<int>(instances_.size()); ++sid) {
             if (sid == id) continue;
@@ -1513,19 +1409,13 @@ private:
                 sib.status = InstStatus::Cancelled;
                 --logical_live_[sib.logical];
             } else if (sib.status == InstStatus::Committed) {
-                emit(EventKind::ReplicaCancelled, sib.proc, sib.logical,
-                     sib.kind == InstKind::Replica);
+                emit(EventKind::ReplicaCancelled, sib.proc, sib);
                 release_instance(sid, /*to_pool=*/false);
             }
         }
     }
 
     // ---- helpers -------------------------------------------------------
-
-    static constexpr std::uint8_t kFlagProg = 1;
-    static constexpr std::uint8_t kFlagData = 2;
-    static constexpr std::uint8_t kFlagCompute = 4;
-    static constexpr std::uint8_t kFlagCkpt = 8;
 
     /// How far ahead consult() looks for the end of a worker's current
     /// availability segment (see next_state_change for longer horizons).
@@ -1575,164 +1465,49 @@ private:
         reg->counter("sim.slots_stepped").add(work_.slots_stepped);
     }
 
-    /// Actions of the slot (or steady stretch) in progress, flushed to the
-    /// action trace by record_slots.
+    /// Actions of the slot (or steady stretch) in progress, reported by
+    /// record_slots; buffered only when some observer listens.
     void record_recv(ProcId q, int value) {
-        if (config_.actions) slot_recv_.push_back({q, value});
+        if (!config_.observers.empty()) slot_recv_.push_back({q, value});
     }
     void record_compute(ProcId q, int task) {
-        if (config_.actions) slot_compute_.push_back({q, task});
+        if (!config_.observers.empty()) slot_compute_.push_back({q, task});
     }
 
-    /// The recorders' one write site: appends slots [from, to), which all
-    /// looked like the one just processed — each worker's timeline code
-    /// from its state and slot_flags_, and one action row per slot carrying
-    /// the collected recv/compute pairs.  Returns at once when no recorder
+    /// The observers' one slot report: slots [from, to) all looked like
+    /// the one just processed — each worker's state and slot_flags_, and
+    /// the collected recv/compute pairs.  Returns at once when no observer
     /// is attached.
-    void record_slots(long long from, long long to) {
-        if (config_.timeline) {
-            for (int q = 0; q < pf_.size(); ++q) {
-                char code = '.';
-                const ProcState st = workers_[q].state;
-                if (st == ProcState::Down) code = 'd';
-                else if (st == ProcState::Reclaimed) code = 'r';
-                else {
-                    const std::uint8_t f = slot_flags_[q];
-                    const bool compute = f & kFlagCompute;
-                    const bool data = f & kFlagData;
-                    if (compute && data) code = 'B';
-                    else if (compute) code = 'C';
-                    else if (f & kFlagCkpt) code = 'K';
-                    else if (data) code = 'D';
-                    else if (f & kFlagProg) code = 'P';
-                }
-                for (long long s = from; s < to; ++s)
-                    config_.timeline->record(q, code);
-            }
-        }
-        if (config_.actions) {
-            for (long long s = from; s < to; ++s) {
-                config_.actions->next_slot();
-                for (const auto& [q, value] : slot_recv_)
-                    config_.actions->set_recv(q, value);
-                for (const auto& [q, task] : slot_compute_)
-                    config_.actions->set_compute(q, task);
-            }
-            slot_recv_.clear();
-            slot_compute_.clear();
-        }
+    void record_slots(long long from, long long to, bool elided) {
+        if (config_.observers.empty()) return;
+        const SlotActivity activity{.states = workers_.state,
+                                    .flags = slot_flags_,
+                                    .recv = slot_recv_,
+                                    .compute = slot_compute_,
+                                    .elided = elided,
+                                    .dead = up_count_ == 0};
+        for (RunObserver* o : config_.observers)
+            o->on_slots(from, to, activity);
+        slot_recv_.clear();
+        slot_compute_.clear();
     }
 
     void emit(EventKind kind, ProcId proc, int logical = -1,
               bool replica = false,
               ProcState state = ProcState::Up) {
-        if (!config_.events && !config_.tracer) return;
-        Event e;
-        e.slot = slot_;
-        e.kind = kind;
-        e.proc = proc;
-        e.iteration = iterations_done_;
-        e.logical = logical;
-        e.replica = replica;
-        e.state = state;
-        if (config_.tracer) trace_event(e);
-        if (config_.events) config_.events->append(e);
+        if (config_.observers.empty()) return;
+        const Event e{.slot = slot_,
+                      .kind = kind,
+                      .proc = proc,
+                      .iteration = iterations_done_,
+                      .logical = logical,
+                      .replica = replica,
+                      .state = state};
+        for (RunObserver* o : config_.observers) o->on_event(e);
     }
-
-    /// Mirrors one engine event into the tracer's span model.  Pure
-    /// observer: reads the same Event the log receives (plus the platform's
-    /// transfer-cost constants, to classify zero-cost transfers) and never
-    /// writes engine state.
-    void trace_event(const Event& e) {
-        using obs::TraceRecorder;
-        TraceRecorder& tr = *config_.tracer;
-        const auto task_args = [&e] {
-            std::string a = "{\"task\":" + std::to_string(e.logical) +
-                            ",\"iter\":" + std::to_string(e.iteration);
-            if (e.replica) a += ",\"replica\":true";
-            a += "}";
-            return a;
-        };
-        switch (e.kind) {
-        case EventKind::StateChange: {
-            const char code = e.state == ProcState::Up        ? 'u'
-                              : e.state == ProcState::Reclaimed ? 'r'
-                                                                : 'd';
-            // A DOWN handoff also cuts the activity lanes ("lost") inside
-            // state_change — this covers the in-flight program download a
-            // crash wipes without emitting any WorkLost event.
-            tr.state_change(e.slot, e.proc, code);
-            break;
-        }
-        case EventKind::ProgStart:
-            tr.span_begin(e.slot, e.proc, TraceRecorder::kLaneTransfer,
-                          "prog");
-            break;
-        case EventKind::ProgComplete:
-            tr.span_end(e.slot, e.proc, TraceRecorder::kLaneTransfer);
-            break;
-        case EventKind::DataStart:
-            // Zero-cost data transfers (t_data == 0) complete at their
-            // start event and never emit DataComplete — record an instant
-            // so the transfer lane is not left open.
-            if (pf_.t_data == 0)
-                tr.instant(e.slot, e.proc, TraceRecorder::kLaneTransfer,
-                           "data (free)");
-            else
-                tr.span_begin(e.slot, e.proc, TraceRecorder::kLaneTransfer,
-                              "data", task_args());
-            break;
-        case EventKind::DataComplete:
-            tr.span_end(e.slot, e.proc, TraceRecorder::kLaneTransfer);
-            break;
-        case EventKind::ComputeStart:
-            // Promotion happens at end of slot s; the computation's first
-            // advancing slot is s + 1 (and completions of slot s have
-            // already closed the lane, so the handoff order is safe).
-            tr.span_begin(e.slot + 1, e.proc, TraceRecorder::kLaneCompute,
-                          "compute", task_args());
-            break;
-        case EventKind::TaskComplete:
-            tr.span_end(e.slot, e.proc, TraceRecorder::kLaneCompute);
-            break;
-        case EventKind::WorkLost:
-            tr.span_cut(e.slot, e.proc, TraceRecorder::kLaneTransfer, "lost");
-            tr.span_cut(e.slot, e.proc, TraceRecorder::kLaneCompute, "lost");
-            break;
-        case EventKind::ReplicaCommitted:
-            tr.instant(e.slot, e.proc, TraceRecorder::kLaneTransfer,
-                       "replica committed");
-            break;
-        case EventKind::ReplicaCancelled:
-            tr.span_cut(e.slot, e.proc, TraceRecorder::kLaneTransfer,
-                        "cancelled");
-            tr.span_cut(e.slot, e.proc, TraceRecorder::kLaneCompute,
-                        "cancelled");
-            break;
-        case EventKind::ProactiveCancel:
-            tr.span_cut(e.slot, e.proc, TraceRecorder::kLaneTransfer,
-                        "proactive");
-            tr.span_cut(e.slot, e.proc, TraceRecorder::kLaneCompute,
-                        "proactive");
-            break;
-        case EventKind::IterationComplete:
-            tr.instant_engine(e.slot, "iteration complete");
-            break;
-        case EventKind::CheckpointStart:
-            tr.span_begin(e.slot, e.proc, TraceRecorder::kLaneCkpt, "ckpt",
-                          task_args());
-            break;
-        case EventKind::CheckpointCommit:
-            tr.span_end(e.slot, e.proc, TraceRecorder::kLaneCkpt);
-            break;
-        case EventKind::CheckpointLost:
-            tr.span_cut(e.slot, e.proc, TraceRecorder::kLaneCkpt, "lost");
-            break;
-        case EventKind::Recovery:
-            tr.instant(e.slot, e.proc, TraceRecorder::kLaneCompute,
-                       "recovery");
-            break;
-        }
+    /// An event about instance `inst` on worker q.
+    void emit(EventKind kind, ProcId q, const Instance& inst) {
+        emit(kind, q, inst.logical, inst.kind == InstKind::Replica);
     }
 
     [[nodiscard]] ProcView view_of(ProcId q) const {
@@ -1923,7 +1698,7 @@ private:
     // ---- data ----------------------------------------------------------
 
     const Platform& pf_;
-    EngineConfig config_;
+    const EngineConfig& config_;
     std::vector<markov::TraceCursor> cursors_;
     util::Rng sched_rng_{0};
     const std::vector<markov::MarkovChain>* beliefs_ = nullptr;
@@ -2036,12 +1811,14 @@ std::shared_ptr<markov::RealizedTraces> Simulation::acquire_traces() const {
     return traces_;
 }
 
-namespace {
-
-/// Scheduler cache traffic attributable to one run: the counters are
-/// cumulative over the scheduler's lifetime, the metrics report deltas.
-void record_cache_delta(RunMetrics& m, const Scheduler& sched,
-                        const SchedulerCounters& before) {
+RunMetrics Simulation::run_with(const EngineConfig& cfg,
+                                Scheduler& sched) const {
+    const auto traces = acquire_traces();
+    Runner runner(platform_, *traces, beliefs_, cfg, seed_);
+    // Scheduler cache traffic attributable to this run: the counters are
+    // cumulative over the scheduler's lifetime, the metrics report deltas.
+    const SchedulerCounters before = sched.counters();
+    RunMetrics m = runner.run(sched);
     const SchedulerCounters after = sched.counters();
     m.cache_hits =
         static_cast<long long>(after.cache_hits - before.cache_hits);
@@ -2049,17 +1826,11 @@ void record_cache_delta(RunMetrics& m, const Scheduler& sched,
         static_cast<long long>(after.cache_misses - before.cache_misses);
     m.cache_invalidations = static_cast<long long>(
         after.cache_invalidations - before.cache_invalidations);
+    return m;
 }
 
-} // namespace
-
 RunMetrics Simulation::run(Scheduler& sched) const {
-    const auto traces = acquire_traces();
-    Runner runner(platform_, *traces, beliefs_, config_, seed_);
-    const SchedulerCounters before = sched.counters();
-    RunMetrics m = runner.run(sched);
-    record_cache_delta(m, sched, before);
-    return m;
+    return run_with(config_, sched);
 }
 
 RunMetrics Simulation::run_for_deadline(Scheduler& sched,
@@ -2069,22 +1840,15 @@ RunMetrics Simulation::run_for_deadline(Scheduler& sched,
     // An unreachable iteration budget: the run always ends at the deadline
     // and iterations_completed is the Section 3.4 objective value.
     cfg.iterations = std::numeric_limits<int>::max();
-    const auto traces = acquire_traces();
-    Runner runner(platform_, *traces, beliefs_, cfg, seed_);
-    const SchedulerCounters before = sched.counters();
-    RunMetrics m = runner.run(sched);
-    record_cache_delta(m, sched, before);
-    return m;
+    return run_with(cfg, sched);
 }
 
 long long Simulation::min_slots_for_iterations(Scheduler& sched,
                                                int iterations) const {
     EngineConfig cfg = config_;
     cfg.iterations = iterations;
-    const auto traces = acquire_traces();
-    Runner runner(platform_, *traces, beliefs_, cfg, seed_);
-    const auto metrics = runner.run(sched);
-    return metrics.completed ? metrics.makespan : -1;
+    const RunMetrics m = run_with(cfg, sched);
+    return m.completed ? m.makespan : -1;
 }
 
 } // namespace volsched::sim

@@ -54,9 +54,9 @@
 /// can have changed, resets only the per-worker round scratch the previous
 /// round wrote, and the bundled heuristics score (and pin) only the
 /// candidates they are offered.  What still scales with P: a plugin
-/// heuristic that walks every SchedView entry per round, the recorders
-/// (timelines and action traces write one entry per worker per slot), and
-/// audit mode.  Each run adds its work counters (`sim.worker_visits`,
+/// heuristic that walks every SchedView entry per round, the observers
+/// (sim/observer.hpp; a timeline writes one entry per worker per slot),
+/// and audit mode.  Each run adds its work counters (`sim.worker_visits`,
 /// `sim.cursor_queries`, `sim.slots_stepped`) to the installed
 /// obs::Registry, if any.
 
@@ -66,12 +66,10 @@
 #include "markov/availability.hpp"
 #include "markov/chain.hpp"
 #include "markov/realized_trace.hpp"
-#include "sim/action_trace.hpp"
-#include "sim/events.hpp"
 #include "sim/metrics.hpp"
+#include "sim/observer.hpp"
 #include "sim/platform.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/timeline.hpp"
 
 namespace volsched::api {
 class SimulationBuilder; // defined in api/simulation_builder.hpp
@@ -79,10 +77,6 @@ class SimulationBuilder; // defined in api/simulation_builder.hpp
 
 namespace volsched::ckpt {
 class CheckpointPolicy; // defined in ckpt/policy.hpp
-}
-
-namespace volsched::obs {
-class TraceRecorder; // defined in obs/trace.hpp
 }
 
 namespace volsched::sim {
@@ -125,9 +119,9 @@ struct EngineConfig {
     /// exists to run the reference slot loop for validation and benchmarks.
     bool event_driven = true;
     /// When true, the engine cross-checks model invariants every slot and
-    /// throws std::logic_error on violation (skipped dead ranges and
-    /// event-elided ranges are cross-checked slot by slot against the
-    /// realized trace and the checkpoint policy).  Used by the test suite.
+    /// throws std::logic_error on violation (event-elided ranges, dead ones
+    /// included, are cross-checked slot by slot against the realized trace
+    /// and the checkpoint policy).  Used by the test suite.
     bool audit = false;
     /// Optional checkpoint/restart policy (not owned; null means "none",
     /// the paper's crash-lose-everything model).  When set, workers may
@@ -141,18 +135,11 @@ struct EngineConfig {
     /// Master transfer slot-units one checkpoint upload costs (>= 0; zero
     /// commits instantly, like a zero-cost data transfer).
     int checkpoint_cost = 1;
-    /// Optional structured event log (not owned; may be null).
-    EventLog* events = nullptr;
-    /// Optional per-slot activity recorder (not owned; may be null).
-    Timeline* timeline = nullptr;
-    /// Optional exact action recorder (not owned; may be null); lets a run
-    /// be re-validated through the off-line model checker.
-    ActionTrace* actions = nullptr;
-    /// Optional sim-time tracer (not owned; may be null): records the run as
-    /// per-worker spans exportable as Perfetto-loadable Chrome trace JSON
-    /// (obs/trace.hpp).  Strictly observer-only — attaching a tracer leaves
-    /// every other output byte-identical.
-    obs::TraceRecorder* tracer = nullptr;
+    /// Observers of every run (non-null, not owned; sim/observer.hpp): the
+    /// event log, the timeline, the action trace the off-line model checker
+    /// replays, the sim-time tracer (sim/trace_observer.hpp), or any other
+    /// RunObserver.  Attaching one leaves every other output byte-identical.
+    std::vector<RunObserver*> observers;
 };
 
 /// One reproducible simulation: a platform, one availability process per
@@ -218,8 +205,10 @@ public:
 private:
     /// Cached-or-fresh realization per the trace-cache policy.
     [[nodiscard]] std::shared_ptr<markov::RealizedTraces> acquire_traces() const;
+    /// One run under `cfg` (config_ or a per-objective variant of it).
+    RunMetrics run_with(const EngineConfig& cfg, Scheduler& sched) const;
 
-    friend class api::SimulationBuilder; // installs .realized()/.trace_cache()
+    friend class api::SimulationBuilder; // installs what build() resolved
 
     Platform platform_;
     std::vector<std::unique_ptr<markov::AvailabilityModel>> models_;
@@ -230,6 +219,9 @@ private:
     /// the simulation (config_.checkpoint points at it); null when the
     /// policy was attached as a raw pointer or not at all.
     std::shared_ptr<const ckpt::CheckpointPolicy> checkpoint_policy_;
+    /// Observers the builder made (SimulationBuilder::trace's adapters);
+    /// config_.observers points at them.
+    std::vector<std::unique_ptr<RunObserver>> owned_observers_;
     /// Realization cache; pre-seeded by SimulationBuilder::realized().
     mutable std::shared_ptr<markov::RealizedTraces> traces_;
     /// False: re-realize on every run (the pre-trace-layer cost model);

@@ -1,8 +1,8 @@
 #pragma once
 /// \file events.hpp
-/// Structured event log for simulation runs.  When an EventLog is attached
-/// to the engine (EngineConfig::events), every protocol-level occurrence is
-/// recorded: state transitions, transfer starts/completions, computation
+/// Structured event log for simulation runs.  When an EventLog observes a
+/// run (EngineConfig::observers, SimulationBuilder::observe), every
+/// protocol-level occurrence is recorded: state transitions, transfer starts/completions, computation
 /// starts, task completions, work loss, replication decisions, and
 /// iteration boundaries.  Useful for debugging schedules, building Gantt
 /// views, and post-hoc analysis of heuristic behaviour.
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "markov/state.hpp"
+#include "sim/observer.hpp"
 #include "sim/platform.hpp"
 
 namespace volsched::sim {
@@ -49,10 +50,10 @@ struct Event {
     markov::ProcState state = markov::ProcState::Up; ///< for StateChange
 };
 
-/// Append-only event container.
-class EventLog {
+/// Append-only event container; successive runs append.
+class EventLog : public RunObserver {
 public:
-    void append(const Event& event) { events_.push_back(event); }
+    void on_event(const Event& event) override { events_.push_back(event); }
     void clear() noexcept { events_.clear(); }
 
     [[nodiscard]] std::span<const Event> events() const noexcept {

@@ -5,12 +5,29 @@
 
 namespace volsched::sim {
 
-void Timeline::begin(int procs) {
-    rows_.assign(static_cast<std::size_t>(procs), std::string{});
+void Timeline::begin_run(const Platform& platform) {
+    rows_.assign(static_cast<std::size_t>(platform.size()), std::string{});
 }
 
-void Timeline::record(ProcId proc, char code) {
-    rows_[proc].push_back(code);
+void Timeline::on_slots(long long from, long long to,
+                        const SlotActivity& activity) {
+    for (std::size_t q = 0; q < rows_.size(); ++q) {
+        char code = '.';
+        const markov::ProcState st = activity.states[q];
+        if (st == markov::ProcState::Down) code = 'd';
+        else if (st == markov::ProcState::Reclaimed) code = 'r';
+        else {
+            const std::uint8_t f = activity.flags[q];
+            const bool compute = f & SlotActivity::kCompute;
+            const bool data = f & SlotActivity::kData;
+            if (compute && data) code = 'B';
+            else if (compute) code = 'C';
+            else if (f & SlotActivity::kCheckpoint) code = 'K';
+            else if (data) code = 'D';
+            else if (f & SlotActivity::kProgram) code = 'P';
+        }
+        rows_[q].append(static_cast<std::size_t>(to - from), code);
+    }
 }
 
 char Timeline::at(ProcId proc, long long slot) const noexcept {

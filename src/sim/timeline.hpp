@@ -1,7 +1,8 @@
 #pragma once
 /// \file timeline.hpp
 /// Per-slot activity recording: one character per (processor, slot),
-/// rendered as an ASCII Gantt chart.  Attach via EngineConfig::timeline.
+/// rendered as an ASCII Gantt chart.  Attach as a RunObserver
+/// (EngineConfig::observers, SimulationBuilder::observe).
 ///
 /// Codes:
 ///   'd' DOWN   'r' RECLAIMED   '.' UP and idle
@@ -12,18 +13,17 @@
 #include <string>
 #include <vector>
 
+#include "sim/observer.hpp"
 #include "sim/platform.hpp"
 
 namespace volsched::sim {
 
-class Timeline {
+/// Each run replaces the previous one's rows.
+class Timeline : public RunObserver {
 public:
-    /// (Re)initializes for a platform of `procs` processors.
-    void begin(int procs);
-
-    /// Appends the code for processor `proc` at the next slot; the engine
-    /// calls this once per processor per slot, in slot order.
-    void record(ProcId proc, char code);
+    void begin_run(const Platform& platform) override;
+    void on_slots(long long from, long long to,
+                  const SlotActivity& activity) override;
 
     [[nodiscard]] int procs() const noexcept {
         return static_cast<int>(rows_.size());

@@ -45,9 +45,11 @@
 #include "sim/events.hpp"
 #include "sim/metrics.hpp"
 #include "sim/metrics_io.hpp"
+#include "sim/observer.hpp"
 #include "sim/platform.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/timeline.hpp"
+#include "sim/trace_observer.hpp"
 
 #include "markov/availability.hpp"
 #include "markov/chain.hpp"

@@ -220,6 +220,33 @@ TEST(Campaign, ManifestRoundTripsAtomically) {
         ve::manifest_path(dir.path()).string() + ".tmp"));
 }
 
+TEST(Campaign, ReadManifestRejectsImpossibleManifests) {
+    TempDir dir;
+    const auto path = ve::manifest_path(dir.path());
+    const auto write = [&path](const std::string& text) {
+        std::ofstream(path) << text;
+    };
+    const std::string head =
+        "volsched-campaign-manifest 1\nfingerprint 7\n";
+    const std::string tail = "instances 6\ncomplete 0\n";
+    write(head + "shard 1 2\njobs 3 8\njsonl 10\ncsv 0\n" + tail);
+    EXPECT_TRUE(ve::read_manifest(dir.path()).has_value());
+    // Every reader (run's resume, status, merge) sees the same rejection.
+    for (const std::string& bad : {
+             std::string{},                                     // empty file
+             head + "shard 1 2\njobs -5 4\n" + tail,            // done < 0
+             head + "shard 1 2\njobs 9 8\n" + tail,             // done > total
+             head + "shard 3 2\njobs 3 8\n" + tail,             // index > count
+             head + "shard 0 2\njobs 3 8\n" + tail,             // index < 1
+             head + "shard 1 2\njobs 3 8\njsonl -10\n" + tail, // bytes < 0
+             head + "shard 1 2\njobs 3 8\ncsv -1\n" + tail,
+         }) {
+        write(bad);
+        EXPECT_THROW(ve::read_manifest(dir.path()), std::runtime_error)
+            << bad;
+    }
+}
+
 TEST(Campaign, TwoShardsMergedBitMatchUnshardedSweep) {
     const auto sweep = small_sweep();
     const auto expected = ve::run_sweep(sweep, kHeuristics);

@@ -56,7 +56,7 @@ vs::RunMetrics run_crashy(const CrashySetup& setup,
     vs::EngineConfig cfg = vt::audited_config(/*iterations=*/3, /*tasks=*/4);
     cfg.checkpoint = policy;
     cfg.checkpoint_cost = cost;
-    cfg.actions = trace;
+    if (trace) cfg.observers = {trace};
     const auto sim =
         vs::Simulation::from_chains(setup.pf, setup.chains, cfg, seed);
     const auto sched = vcore::make_scheduler(heuristic);

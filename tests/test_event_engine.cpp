@@ -118,8 +118,7 @@ long long run_both_and_compare(const vs::Platform& pf,
     for (int event = 0; event < 2; ++event) {
         vs::EngineConfig c = cfg;
         c.event_driven = (event == 1);
-        c.timeline = &out[event].timeline;
-        c.actions = &out[event].actions;
+        c.observers = {&out[event].timeline, &out[event].actions};
         const auto sim = vs::Simulation::from_chains(pf, chains, c, seed);
         const auto sched = vc::make_scheduler(heuristic);
         out[event].m = sim.run(*sched);
@@ -188,8 +187,8 @@ TEST(EventEngine, SemiMarkovRegimeMatchesSlotLoopExactly) {
                            .models(std::move(models))
                            .beliefs(beliefs)
                            .config(cfg)
-                           .timeline(&out[event].timeline)
-                           .actions(&out[event].actions)
+                           .observe(&out[event].timeline)
+                           .observe(&out[event].actions)
                            .event_driven(event == 1)
                            .seed(23)
                            .build();
@@ -270,8 +269,8 @@ TEST(EventEngine, InitialDeadStretchIsSkippedInFullByBothCores) {
                        .iterations(2)
                        .tasks_per_iteration(3)
                        .audit(true)
-                       .timeline(&out[arm].timeline)
-                       .actions(&out[arm].actions)
+                       .observe(&out[arm].timeline)
+                       .observe(&out[arm].actions)
                        .event_driven(arm == 0)
                        .seed(11)
                        .build();
@@ -325,8 +324,8 @@ TEST(EventEngine, WorkCountersFollowPresentWorkersNotFleetSize) {
                        .models(std::move(models))
                        .beliefs(beliefs)
                        .config(vt::audited_config(2, 12, /*replica_cap=*/0))
-                       .timeline(&out.timeline)
-                       .actions(&out.actions)
+                       .observe(&out.timeline)
+                       .observe(&out.actions)
                        .event_driven(event_driven)
                        .seed(5)
                        .build();

@@ -10,6 +10,8 @@
 #include "core/factory.hpp"
 #include "markov/gen.hpp"
 #include "sim/engine.hpp"
+#include "sim/events.hpp"
+#include "sim/timeline.hpp"
 #include "trace/replay.hpp"
 #include "util/rng.hpp"
 
@@ -50,7 +52,7 @@ TEST(EventLogging, PipelineEmitsExpectedEventCounts) {
     // p=1, w=3, Tprog=2, Tdata=2, m=2, always UP (cf. EngineTiming).
     vs::EventLog log;
     auto cfg = config(1, 2);
-    cfg.events = &log;
+    cfg.observers = {&log};
     auto sim = make_replay_sim(vs::Platform::homogeneous(1, 3, 1, 2, 2), {"u"},
                                cfg);
     const auto sched = volsched::core::make_scheduler("mct");
@@ -70,7 +72,7 @@ TEST(EventLogging, PipelineEmitsExpectedEventCounts) {
 TEST(EventLogging, EventsAreChronological) {
     vs::EventLog log;
     auto cfg = config(2, 3);
-    cfg.events = &log;
+    cfg.observers = {&log};
     auto sim = make_replay_sim(vs::Platform::homogeneous(2, 2, 2, 1, 1),
                                {"u", "u"}, cfg);
     const auto sched = volsched::core::make_scheduler("mct");
@@ -85,7 +87,7 @@ TEST(EventLogging, EventsAreChronological) {
 TEST(EventLogging, CrashEmitsWorkLost) {
     vs::EventLog log;
     auto cfg = config(1, 1);
-    cfg.events = &log;
+    cfg.observers = {&log};
     auto sim = make_replay_sim(vs::Platform::homogeneous(1, 1, 1, 2, 1),
                                {"uuduuuuuu"}, cfg);
     const auto sched = volsched::core::make_scheduler("mct");
@@ -112,7 +114,7 @@ TEST(EventLogging, TaskCompletionsMatchMetrics) {
         pf.w.push_back(1 + static_cast<int>(rng.uniform_int(0, 9)));
     auto cfg = config(3, 6);
     cfg.replica_cap = 2;
-    cfg.events = &log;
+    cfg.observers = {&log};
     const auto sim = vs::Simulation::from_chains(pf, chains, cfg, 77);
     const auto sched = volsched::core::make_scheduler("emct*");
     const auto metrics = sim.run(*sched);
@@ -127,7 +129,7 @@ TEST(EventLogging, TaskCompletionsMatchMetrics) {
 TEST(EventLogging, CsvHasHeaderAndOneRowPerEvent) {
     vs::EventLog log;
     auto cfg = config(1, 1);
-    cfg.events = &log;
+    cfg.observers = {&log};
     auto sim = make_replay_sim(vs::Platform::homogeneous(1, 1, 1, 1, 1), {"u"},
                                cfg);
     const auto sched = volsched::core::make_scheduler("mct");
@@ -159,7 +161,7 @@ TEST(EventKindNames, AllDistinct) {
 TEST(TimelineRecording, DeterministicPipelineChart) {
     vs::Timeline timeline;
     auto cfg = config(1, 2);
-    cfg.timeline = &timeline;
+    cfg.observers = {&timeline};
     auto sim = make_replay_sim(vs::Platform::homogeneous(1, 3, 1, 2, 2), {"u"},
                                cfg);
     const auto sched = volsched::core::make_scheduler("mct");
@@ -175,7 +177,7 @@ TEST(TimelineRecording, DeterministicPipelineChart) {
 TEST(TimelineRecording, StateCodesAppear) {
     vs::Timeline timeline;
     auto cfg = config(1, 1);
-    cfg.timeline = &timeline;
+    cfg.observers = {&timeline};
     auto sim = make_replay_sim(vs::Platform::homogeneous(1, 1, 1, 1, 1),
                                {"urduu"}, cfg);
     const auto sched = volsched::core::make_scheduler("mct");
@@ -196,7 +198,7 @@ TEST(TimelineRecording, CheckpointUploadShowsK) {
         const std::string label = event_driven ? "event core" : "slot loop";
         vs::Timeline timeline;
         auto cfg = config(1, 1);
-        cfg.timeline = &timeline;
+        cfg.observers = {&timeline};
         cfg.event_driven = event_driven;
         cfg.checkpoint = policy.get();
         cfg.checkpoint_cost = 8;
@@ -223,7 +225,7 @@ TEST(TimelineRecording, CheckpointUploadShowsK) {
 TEST(TimelineRecording, RenderHasRulerAndRows) {
     vs::Timeline timeline;
     auto cfg = config(1, 2);
-    cfg.timeline = &timeline;
+    cfg.observers = {&timeline};
     auto sim = make_replay_sim(vs::Platform::homogeneous(2, 2, 2, 1, 1),
                                {"u", "u"}, cfg);
     const auto sched = volsched::core::make_scheduler("mct");

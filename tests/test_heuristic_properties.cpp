@@ -513,8 +513,8 @@ vs::Simulation reuse_simulation(std::uint64_t seed, bool event_driven,
         .max_slots(20'000)
         .audit()
         .seed(seed)
-        .timeline(timeline)
-        .actions(actions)
+        .observe(timeline)
+        .observe(actions)
         .event_driven(event_driven)
         .build();
 }

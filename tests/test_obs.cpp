@@ -31,8 +31,10 @@
 #include "obs/trace.hpp"
 #include "sim/action_trace.hpp"
 #include "sim/engine.hpp"
+#include "sim/events.hpp"
 #include "sim/metrics_io.hpp"
 #include "sim/timeline.hpp"
+#include "sim/trace_observer.hpp"
 #include "support/fixtures.hpp"
 #include "support/golden.hpp"
 #include "trace/semi_markov.hpp"
@@ -81,15 +83,17 @@ struct Snapshot {
     std::string metrics;
     std::string timeline;
     std::string actions;
+    std::string events;
     std::string trace_json; ///< empty for the untraced arm
 };
+
+using Observers = std::vector<vs::RunObserver*>;
 
 /// The regimes under test; each builds and runs one simulation.
 struct Regime {
     std::string label;
-    // Runs the regime and fills `out`; `tracer` is null for the off arm.
-    std::function<vs::RunMetrics(bool event_core, vo::TraceRecorder* tracer,
-                                 vs::Timeline* tl, vs::ActionTrace* at)>
+    // Runs the regime with `observers` attached to the engine.
+    std::function<vs::RunMetrics(bool event_core, const Observers& observers)>
         run;
 };
 
@@ -98,8 +102,7 @@ std::vector<Regime> regimes() {
 
     // Markov chains over a small heterogeneous platform (test_event_engine's
     // canonical fixture).
-    rs.push_back({"markov", [](bool event_core, vo::TraceRecorder* tracer,
-                               vs::Timeline* tl, vs::ActionTrace* at) {
+    rs.push_back({"markov", [](bool event_core, const Observers& observers) {
                       vs::Platform pf;
                       pf.w = {2, 3, 4};
                       pf.ncom = 2;
@@ -109,9 +112,7 @@ std::vector<Regime> regimes() {
                           3, vt::chain3(0.35, 0.05, 0.10, 0.30, 0.15, 0.05));
                       vs::EngineConfig cfg = vt::audited_config(2, 4);
                       cfg.event_driven = event_core;
-                      cfg.timeline = tl;
-                      cfg.actions = at;
-                      cfg.tracer = tracer;
+                      cfg.observers = observers;
                       const auto sim =
                           vs::Simulation::from_chains(pf, chains, cfg, 17);
                       const auto sched = vc::make_scheduler("mct");
@@ -121,8 +122,7 @@ std::vector<Regime> regimes() {
     // Heavy-tailed semi-Markov sojourns: long absences exercise the event
     // core's elision (and the tracer's elided-range spans).
     rs.push_back({"semi-markov",
-                  [](bool event_core, vo::TraceRecorder* tracer,
-                     vs::Timeline* tl, vs::ActionTrace* at) {
+                  [](bool event_core, const Observers& observers) {
                       using volsched::trace::SemiMarkovAvailability;
                       using volsched::trace::SemiMarkovParams;
                       using volsched::trace::SojournDist;
@@ -148,26 +148,22 @@ std::vector<Regime> regimes() {
                           models.push_back(
                               std::make_unique<SemiMarkovAvailability>(
                                   params));
-                      vs::EngineConfig cfg = vt::audited_config(2, 4);
-                      cfg.tracer = tracer;
-                      auto sim = vs::Simulation::builder()
-                                     .platform(pf)
-                                     .models(std::move(models))
-                                     .beliefs(beliefs)
-                                     .config(cfg)
-                                     .timeline(tl)
-                                     .actions(at)
-                                     .event_driven(event_core)
-                                     .seed(23)
-                                     .build();
+                      auto b = vs::Simulation::builder();
+                      b.platform(pf)
+                          .models(std::move(models))
+                          .beliefs(beliefs)
+                          .config(vt::audited_config(2, 4))
+                          .event_driven(event_core)
+                          .seed(23);
+                      for (vs::RunObserver* o : observers) b.observe(o);
+                      const auto sim = b.build();
                       const auto sched = vc::make_scheduler("emct");
                       return sim.run(*sched);
                   }});
 
     // Checkpointed regime: upload events and recoveries add the ckpt lane.
     rs.push_back({"checkpointed",
-                  [](bool event_core, vo::TraceRecorder* tracer,
-                     vs::Timeline* tl, vs::ActionTrace* at) {
+                  [](bool event_core, const Observers& observers) {
                       vs::Platform pf;
                       pf.w = {4, 6, 8};
                       pf.ncom = 2;
@@ -181,9 +177,7 @@ std::vector<Regime> regimes() {
                       cfg.checkpoint = policy.get();
                       cfg.checkpoint_cost = 2;
                       cfg.event_driven = event_core;
-                      cfg.timeline = tl;
-                      cfg.actions = at;
-                      cfg.tracer = tracer;
+                      cfg.observers = observers;
                       const auto sim =
                           vs::Simulation::from_chains(pf, chains, cfg, 29);
                       const auto sched = vc::make_scheduler("mct");
@@ -195,16 +189,61 @@ std::vector<Regime> regimes() {
 Snapshot snapshot(const Regime& regime, bool event_core, bool traced) {
     vs::Timeline tl;
     vs::ActionTrace at;
+    vs::EventLog log;
     vo::TraceRecorder rec;
-    const auto m =
-        regime.run(event_core, traced ? &rec : nullptr, &tl, &at);
+    vs::TraceObserver tracer(rec);
+    Observers observers = {&tl, &at, &log};
+    if (traced) observers.push_back(&tracer);
+    const auto m = regime.run(event_core, observers);
     Snapshot s;
     s.metrics = vs::metrics_to_json(m);
     s.timeline = tl.render();
     s.actions = actions_to_text(at);
+    std::ostringstream events;
+    log.write_csv(events);
+    s.events = events.str();
     if (traced) s.trace_json = rec.json();
     return s;
 }
+
+/// Checks the call-order contract of sim/observer.hpp as the engine
+/// reports a run, and sums what it reports.
+class SeamCounter : public vs::RunObserver {
+public:
+    void begin_run(const vs::Platform& platform) override {
+        ++begins;
+        procs = static_cast<std::size_t>(platform.size());
+    }
+    void on_event(const vs::Event& event) override {
+        EXPECT_GE(event.slot, last_event_slot);
+        last_event_slot = event.slot;
+        ++events;
+    }
+    void on_slots(long long from, long long to,
+                  const vs::SlotActivity& activity) override {
+        EXPECT_EQ(from, covered) << "ranges must tile the run in order";
+        EXPECT_LT(from, to);
+        EXPECT_EQ(activity.states.size(), procs);
+        EXPECT_EQ(activity.flags.size(), procs);
+        covered = to;
+        if (activity.elided) elided += to - from;
+        if (activity.elided && activity.dead) dead += to - from;
+    }
+    void end_run(long long end_slot) override {
+        ++ends;
+        end = end_slot;
+    }
+
+    std::size_t procs = 0;
+    int begins = 0;
+    int ends = 0;
+    long long end = -1;
+    long long covered = 0; ///< end of the last reported range
+    long long elided = 0;
+    long long dead = 0;
+    long long events = 0;
+    long long last_event_slot = 0;
+};
 
 // -------------------------------------------------------------------------
 // Chrome-trace schema validation (what scripts/check_trace.py checks in CI,
@@ -275,6 +314,7 @@ TEST(TraceIdentity, TracingIsByteInvisibleInAllRegimesAndBothCores) {
             EXPECT_EQ(off.metrics, on.metrics) << label;
             EXPECT_EQ(off.timeline, on.timeline) << label;
             EXPECT_EQ(off.actions, on.actions) << label;
+            EXPECT_EQ(off.events, on.events) << label;
             ASSERT_FALSE(on.trace_json.empty()) << label;
             validate_trace_json(on.trace_json, label);
         }
@@ -286,6 +326,41 @@ TEST(TraceIdentity, TraceIsDeterministicAcrossRepeatedRuns) {
     const Snapshot a = snapshot(regime, true, true);
     const Snapshot b = snapshot(regime, true, true);
     EXPECT_EQ(a.trace_json, b.trace_json);
+}
+
+TEST(TraceIdentity, BuilderTraceOwnsItsAdapter) {
+    // .trace(&rec) must record exactly what a TraceObserver attached with
+    // .observe() records, from a Simulation that owns the adapter and has
+    // been moved since it was built; .trace(nullptr) attaches nothing.
+    const auto build = [](vo::TraceRecorder* rec, vs::RunObserver* observer) {
+        vs::Platform pf;
+        pf.w = {2, 3, 4};
+        pf.ncom = 2;
+        pf.t_prog = 3;
+        pf.t_data = 1;
+        return vs::Simulation::builder()
+            .platform(pf)
+            .markov(std::vector<vm::MarkovChain>(
+                3, vt::chain3(0.35, 0.05, 0.10, 0.30, 0.15, 0.05)))
+            .config(vt::audited_config(2, 4))
+            .trace(rec)
+            .trace(nullptr)
+            .observe(observer)
+            .seed(17)
+            .build();
+    };
+    vo::TraceRecorder owned, attached;
+    vs::TraceObserver observer(attached);
+    std::vector<vs::Simulation> sims;
+    sims.push_back(build(&owned, nullptr));
+    sims.push_back(build(nullptr, &observer));
+    for (const auto& sim : sims) {
+        EXPECT_EQ(sim.config().observers.size(), 1u);
+        const auto sched = vc::make_scheduler("mct");
+        (void)sim.run(*sched);
+    }
+    ASSERT_GT(owned.size(), 0u);
+    EXPECT_EQ(owned.json(), attached.json());
 }
 
 TEST(TraceIdentity, InstalledRegistryDoesNotPerturbResults) {
@@ -300,6 +375,37 @@ TEST(TraceIdentity, InstalledRegistryDoesNotPerturbResults) {
     EXPECT_EQ(off.metrics, on.metrics);
     EXPECT_EQ(off.timeline, on.timeline);
     EXPECT_EQ(off.actions, on.actions);
+    EXPECT_EQ(off.events, on.events);
+}
+
+// -------------------------------------------------------------------------
+// The observer seam's call-order contract.
+// -------------------------------------------------------------------------
+
+TEST(ObserverSeam, SlotRangesTileTheRunInBothCores) {
+    long long elided_anywhere = 0;
+    for (const auto& regime : regimes()) {
+        for (const bool event_core : {false, true}) {
+            const std::string label =
+                regime.label + (event_core ? "/event" : "/slot");
+            SeamCounter seam;
+            const auto m = regime.run(event_core, {&seam});
+            EXPECT_EQ(seam.begins, 1) << label;
+            EXPECT_EQ(seam.ends, 1) << label;
+            EXPECT_EQ(seam.end, m.makespan) << label;
+            EXPECT_EQ(seam.covered, m.makespan) << label;
+            EXPECT_EQ(seam.elided, m.slots_elided) << label;
+            EXPECT_EQ(seam.dead, m.dead_slots_skipped) << label;
+            EXPECT_GT(seam.events, 0) << label;
+            if (!event_core) {
+                EXPECT_EQ(seam.elided, 0) << label;
+            }
+            elided_anywhere += seam.elided;
+        }
+    }
+    // The event core elides in these regimes, so the elided branch of
+    // the contract was exercised.
+    EXPECT_GT(elided_anywhere, 0);
 }
 
 // -------------------------------------------------------------------------

@@ -263,7 +263,7 @@ TEST(SimulationBuilder, BuilderPathBitMatchesConstructorPath) {
     for (const char* name : {"emct*", "mct", "random2w"}) {
         vs::ActionTrace ta, tb;
         vs::EngineConfig ca = cfg;
-        ca.actions = &ta;
+        ca.observers = {&ta};
         const auto a =
             vs::Simulation::from_chains(rs.platform, rs.chains, ca, 5);
         const auto ma = a.run(*vc::make_scheduler(name));
@@ -272,7 +272,7 @@ TEST(SimulationBuilder, BuilderPathBitMatchesConstructorPath) {
                            .platform(rs.platform)
                            .markov(rs.chains)
                            .config(cfg)
-                           .actions(&tb)
+                           .observe(&tb)
                            .seed(5)
                            .build();
         const auto mb =

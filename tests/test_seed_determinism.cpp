@@ -37,7 +37,7 @@ vs::RunMetrics run_traced(const ve::RealizedScenario& rs,
                           const std::string& heuristic, int tasks,
                           std::uint64_t sim_seed, vs::ActionTrace& trace) {
     vs::EngineConfig cfg = vt::audited_config(2, tasks);
-    cfg.actions = &trace;
+    cfg.observers = {&trace};
     const auto sim =
         vs::Simulation::from_chains(rs.platform, rs.chains, cfg, sim_seed);
     const auto sched = vc::make_scheduler(heuristic);
@@ -153,7 +153,7 @@ TEST(SeedDeterminism, BuilderPathReplaysTheConstructorPathExactly) {
                              .platform(rs.platform)
                              .markov(rs.chains)
                              .config(cfg)
-                             .actions(&t2)
+                             .observe(&t2)
                              .seed(5)
                              .build();
         const auto sched = vc::make_scheduler(name);
@@ -189,14 +189,14 @@ TEST(SeedDeterminism, SlotSkippingLeavesActionTracesUnchanged) {
 
         vs::EngineConfig cfg = vt::audited_config(2, 4);
         cfg.event_driven = true;
-        cfg.actions = &skip_trace;
+        cfg.observers = {&skip_trace};
         const auto skipping =
             vs::Simulation::from_chains(pf, chains, cfg, 17);
         const auto sched1 = vc::make_scheduler(name);
         const auto m1 = skipping.run(*sched1);
 
         cfg.event_driven = false;
-        cfg.actions = &step_trace;
+        cfg.observers = {&step_trace};
         const auto stepping =
             vs::Simulation::from_chains(pf, chains, cfg, 17);
         const auto sched2 = vc::make_scheduler(name);
@@ -269,7 +269,7 @@ TEST(SeedDeterminism, SemiMarkovSlotSkippingLeavesActionTracesUnchanged) {
                            .models(std::move(models))
                            .beliefs(beliefs)
                            .config(cfg)
-                           .actions(&traces[event])
+                           .observe(&traces[event])
                            .event_driven(event == 1)
                            .seed(23)
                            .build();
@@ -341,8 +341,7 @@ std::string greedy_run_blob(bool event_core) {
         vs::Timeline timeline;
         vs::EngineConfig cfg = vt::audited_config(2, sc.tasks);
         cfg.event_driven = event_core;
-        cfg.actions = &trace;
-        cfg.timeline = &timeline;
+        cfg.observers = {&trace, &timeline};
         const auto sim =
             vs::Simulation::from_chains(rs.platform, rs.chains, cfg, 5);
         const auto sched = vc::make_scheduler(name);

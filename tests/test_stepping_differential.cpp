@@ -209,7 +209,7 @@ void run_arm(const Draw& d, bool event_driven, Outcome& out) {
     b.platform(d.pf).config(d.cfg).seed(d.seed);
     set_availability(b, d);
     if (!d.checkpoint.empty()) b.checkpoint(d.checkpoint);
-    b.timeline(&out.timeline).actions(&out.actions).event_driven(event_driven);
+    b.observe(&out.timeline).observe(&out.actions).event_driven(event_driven);
     const auto sim = b.build();
     const auto sched = vc::make_scheduler(d.heuristic);
     switch (d.entry) {

@@ -303,69 +303,64 @@ int cmd_run(int argc, char** argv) {
     static obs::Registry registry;
     obs::Registry::install(&registry);
 
-    try {
-        auto campaign = experiment.campaign()
-                            .directory(cli.get_string("out"))
-                            .shard(shard_index, shard_count)
-                            .checkpoint_every(cli.get_flag("smoke")
-                                                  ? 2
-                                                  : static_cast<int>(
-                                                        cli.get_int(
-                                                            "checkpoint-every")))
-                            .csv(cli.get_flag("csv"))
-                            .stop_after_batches(
-                                static_cast<int>(cli.get_int("batches")))
-                            .pipeline_window(static_cast<int>(
-                                cli.get_int("pipeline-window")))
-                            .heartbeat();
-        if (cli.get_flag("fresh")) campaign.fresh();
-        if (!cli.get_flag("quiet")) {
-            auto printer = std::make_shared<ProgressPrinter>();
-            campaign.progress([printer](long long done, long long total) {
-                printer->report(done, total);
-            });
-        }
+    auto campaign = experiment.campaign()
+                        .directory(cli.get_string("out"))
+                        .shard(shard_index, shard_count)
+                        .checkpoint_every(cli.get_flag("smoke")
+                                              ? 2
+                                              : static_cast<int>(
+                                                    cli.get_int(
+                                                        "checkpoint-every")))
+                        .csv(cli.get_flag("csv"))
+                        .stop_after_batches(
+                            static_cast<int>(cli.get_int("batches")))
+                        .pipeline_window(static_cast<int>(
+                            cli.get_int("pipeline-window")))
+                        .heartbeat();
+    if (cli.get_flag("fresh")) campaign.fresh();
+    if (!cli.get_flag("quiet")) {
+        auto printer = std::make_shared<ProgressPrinter>();
+        campaign.progress([printer](long long done, long long total) {
+            printer->report(done, total);
+        });
+    }
 
-        if (parallel > 0) {
-            campaign.parallel(parallel);
-            const auto outcome = campaign.run_parallel();
-            for (std::size_t k = 0; k < outcome.shards.size(); ++k) {
-                const auto& shard = outcome.shards[k];
-                std::printf("shard %zu/%d: %lld/%lld jobs "
-                            "(%lld instances) -> %s\n",
-                            k + 1, parallel, shard.jobs_done,
-                            shard.jobs_total, shard.instances_done,
-                            shard.jsonl_path.string().c_str());
-            }
-            std::printf("campaign: %lld/%lld jobs (%lld instances) across "
-                        "%d in-process shards\n",
-                        outcome.jobs_done, outcome.jobs_total,
-                        outcome.instances_done, parallel);
-            if (!outcome.complete) {
-                std::printf("stopped at a checkpoint; re-run the same "
-                            "command to continue\n");
-                return 3;
-            }
-            std::printf("all shards complete\n");
-            return 0;
+    if (parallel > 0) {
+        campaign.parallel(parallel);
+        const auto outcome = campaign.run_parallel();
+        for (std::size_t k = 0; k < outcome.shards.size(); ++k) {
+            const auto& shard = outcome.shards[k];
+            std::printf("shard %zu/%d: %lld/%lld jobs "
+                        "(%lld instances) -> %s\n",
+                        k + 1, parallel, shard.jobs_done,
+                        shard.jobs_total, shard.instances_done,
+                        shard.jsonl_path.string().c_str());
         }
-
-        const auto outcome = campaign.run();
-        std::printf("shard %d/%d: %lld/%lld jobs (%lld instances) -> %s\n",
-                    shard_index, shard_count, outcome.jobs_done,
-                    outcome.jobs_total, outcome.instances_done,
-                    outcome.jsonl_path.string().c_str());
+        std::printf("campaign: %lld/%lld jobs (%lld instances) across "
+                    "%d in-process shards\n",
+                    outcome.jobs_done, outcome.jobs_total,
+                    outcome.instances_done, parallel);
         if (!outcome.complete) {
-            std::printf("stopped at a checkpoint; re-run the same command "
-                        "to continue\n");
+            std::printf("stopped at a checkpoint; re-run the same "
+                        "command to continue\n");
             return 3;
         }
-        std::printf("shard complete\n");
+        std::printf("all shards complete\n");
         return 0;
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 1;
     }
+
+    const auto outcome = campaign.run();
+    std::printf("shard %d/%d: %lld/%lld jobs (%lld instances) -> %s\n",
+                shard_index, shard_count, outcome.jobs_done,
+                outcome.jobs_total, outcome.instances_done,
+                outcome.jsonl_path.string().c_str());
+    if (!outcome.complete) {
+        std::printf("stopped at a checkpoint; re-run the same command "
+                    "to continue\n");
+        return 3;
+    }
+    std::printf("shard complete\n");
+    return 0;
 }
 
 int cmd_query(int argc, char** argv) {
@@ -407,70 +402,65 @@ int cmd_query(int argc, char** argv) {
         !axis("tasks", filter.tasks) || !axis("ncom", filter.ncom))
         return 2;
 
-    try {
-        const auto dirs =
-            exp::find_shard_directories(cli.get_string("out"));
-        if (dirs.empty()) {
-            std::fprintf(stderr, "query: no shard directories under '%s'\n",
-                         cli.get_string("out").c_str());
-            return 1;
-        }
-        std::vector<std::filesystem::path> files;
-        files.reserve(dirs.size());
-        for (const auto& dir : dirs) files.push_back(dir / "records.jsonl");
-
-        std::FILE* dest = stdout;
-        if (const auto& path = cli.get_string("output"); !path.empty()) {
-            dest = std::fopen(path.c_str(), "wb");
-            if (!dest) {
-                std::fprintf(stderr, "query: cannot open '%s'\n",
-                             path.c_str());
-                return 1;
-            }
-        }
-
-        const bool as_csv = cli.get_flag("csv");
-        bool with_checkpoint = false;
-        if (as_csv) {
-            // The self-describing shard header names the heuristic columns.
-            std::ifstream first(files.front());
-            std::string header_line;
-            std::getline(first, header_line);
-            const auto header = exp::parse_campaign_header(header_line);
-            with_checkpoint =
-                header.sweep.checkpoint_values.size() != 1 ||
-                header.sweep.checkpoint_values.front() != "none";
-            std::fprintf(dest, "%s\n",
-                         exp::CsvSink::header_row(header.heuristics,
-                                                  with_checkpoint)
-                             .c_str());
-        }
-
-        const auto stats = exp::query_shards(
-            files, filter, [&](const std::string& line) {
-                if (as_csv) {
-                    const auto rec = exp::JsonlSink::parse_record(line);
-                    std::fprintf(dest, "%s\n",
-                                 exp::CsvSink::format_row(rec,
-                                                          with_checkpoint)
-                                     .c_str());
-                } else {
-                    std::fprintf(dest, "%s\n", line.c_str());
-                }
-            });
-        if (dest != stdout) std::fclose(dest);
-        std::fprintf(stderr, "matched %llu record(s) across %zu shard(s)",
-                     static_cast<unsigned long long>(stats.matched),
-                     files.size());
-        if (stats.indexes_rebuilt > 0)
-            std::fprintf(stderr, "; rebuilt %d stale or missing index(es)",
-                         stats.indexes_rebuilt);
-        std::fputc('\n', stderr);
-        return 0;
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s\n", e.what());
+    const auto dirs =
+        exp::find_shard_directories(cli.get_string("out"));
+    if (dirs.empty()) {
+        std::fprintf(stderr, "query: no shard directories under '%s'\n",
+                     cli.get_string("out").c_str());
         return 1;
     }
+    std::vector<std::filesystem::path> files;
+    files.reserve(dirs.size());
+    for (const auto& dir : dirs) files.push_back(dir / "records.jsonl");
+
+    std::FILE* dest = stdout;
+    if (const auto& path = cli.get_string("output"); !path.empty()) {
+        dest = std::fopen(path.c_str(), "wb");
+        if (!dest) {
+            std::fprintf(stderr, "query: cannot open '%s'\n",
+                         path.c_str());
+            return 1;
+        }
+    }
+
+    const bool as_csv = cli.get_flag("csv");
+    bool with_checkpoint = false;
+    if (as_csv) {
+        // The self-describing shard header names the heuristic columns.
+        std::ifstream first(files.front());
+        std::string header_line;
+        std::getline(first, header_line);
+        const auto header = exp::parse_campaign_header(header_line);
+        with_checkpoint =
+            header.sweep.checkpoint_values.size() != 1 ||
+            header.sweep.checkpoint_values.front() != "none";
+        std::fprintf(dest, "%s\n",
+                     exp::CsvSink::header_row(header.heuristics,
+                                              with_checkpoint)
+                         .c_str());
+    }
+
+    const auto stats = exp::query_shards(
+        files, filter, [&](const std::string& line) {
+            if (as_csv) {
+                const auto rec = exp::JsonlSink::parse_record(line);
+                std::fprintf(dest, "%s\n",
+                             exp::CsvSink::format_row(rec,
+                                                      with_checkpoint)
+                                 .c_str());
+            } else {
+                std::fprintf(dest, "%s\n", line.c_str());
+            }
+        });
+    if (dest != stdout) std::fclose(dest);
+    std::fprintf(stderr, "matched %llu record(s) across %zu shard(s)",
+                 static_cast<unsigned long long>(stats.matched),
+                 files.size());
+    if (stats.indexes_rebuilt > 0)
+        std::fprintf(stderr, "; rebuilt %d stale or missing index(es)",
+                     stats.indexes_rebuilt);
+    std::fputc('\n', stderr);
+    return 0;
 }
 
 int cmd_merge(int argc, char** argv) {
@@ -486,30 +476,25 @@ int cmd_merge(int argc, char** argv) {
         return 2;
     }
 
-    try {
-        const auto dirs =
-            exp::find_shard_directories(cli.get_string("out"));
-        if (dirs.empty()) {
-            std::fprintf(stderr,
-                         "merge: no shard directories under '%s'\n",
-                         cli.get_string("out").c_str());
-            return 1;
-        }
-        std::vector<std::filesystem::path> files;
-        files.reserve(dirs.size());
-        for (const auto& dir : dirs) files.push_back(dir / "records.jsonl");
-        const auto result = exp::merge_shards(files);
-        std::printf("merged %zu shard(s), %lld instances\n\n", files.size(),
-                    result.overall.instances());
-        print_tables(result, cli.get_flag("breakdown"));
-        if (const auto& path = cli.get_string("csv"); !path.empty())
-            benchtool::write_dfb_csv(path, result.heuristics,
-                                     result.overall);
-        return 0;
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s\n", e.what());
+    const auto dirs =
+        exp::find_shard_directories(cli.get_string("out"));
+    if (dirs.empty()) {
+        std::fprintf(stderr,
+                     "merge: no shard directories under '%s'\n",
+                     cli.get_string("out").c_str());
         return 1;
     }
+    std::vector<std::filesystem::path> files;
+    files.reserve(dirs.size());
+    for (const auto& dir : dirs) files.push_back(dir / "records.jsonl");
+    const auto result = exp::merge_shards(files);
+    std::printf("merged %zu shard(s), %lld instances\n\n", files.size(),
+                result.overall.instances());
+    print_tables(result, cli.get_flag("breakdown"));
+    if (const auto& path = cli.get_string("csv"); !path.empty())
+        benchtool::write_dfb_csv(path, result.heuristics,
+                                 result.overall);
+    return 0;
 }
 
 int cmd_status(int argc, char** argv) {
@@ -619,10 +604,17 @@ int main(int argc, char** argv) {
         return argc < 2 ? 2 : 0;
     }
     const std::string cmd = argv[1];
-    if (cmd == "run") return cmd_run(argc - 1, argv + 1);
-    if (cmd == "merge") return cmd_merge(argc - 1, argv + 1);
-    if (cmd == "status") return cmd_status(argc - 1, argv + 1);
-    if (cmd == "query") return cmd_query(argc - 1, argv + 1);
+    // A subcommand that fails (a malformed manifest, an unreadable shard)
+    // prints the diagnostic and exits 1.
+    try {
+        if (cmd == "run") return cmd_run(argc - 1, argv + 1);
+        if (cmd == "merge") return cmd_merge(argc - 1, argv + 1);
+        if (cmd == "status") return cmd_status(argc - 1, argv + 1);
+        if (cmd == "query") return cmd_query(argc - 1, argv + 1);
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 1;
+    }
     std::fprintf(stderr, "unknown subcommand '%s'\n\n", argv[1]);
     usage();
     return 2;

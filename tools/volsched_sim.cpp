@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <exception>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <optional>
 
@@ -26,6 +27,18 @@
 namespace {
 
 using namespace volsched;
+
+/// Writes `path` through `write`; false, with a diagnostic, when the file
+/// cannot be written.
+bool write_file(const std::string& path,
+                const std::function<void(std::ostream&)>& write) {
+    std::ofstream out(path);
+    write(out);
+    out.flush();
+    if (out) return true;
+    std::fprintf(stderr, "error: could not write %s\n", path.c_str());
+    return false;
+}
 
 int list_heuristics() {
     const auto entries = api::SchedulerRegistry::instance().entries();
@@ -253,8 +266,8 @@ int run(int argc, char** argv) {
     const bool want_events = !cli.get_string("events").empty();
     const bool want_timeline = cli.get_flag("timeline");
     const bool want_trace = !cli.get_string("trace-out").empty();
-    if (single && want_events) builder.events(&events);
-    if (single && want_timeline) builder.timeline(&timeline);
+    if (single && want_events) builder.observe(&events);
+    if (single && want_timeline) builder.observe(&timeline);
     if (single && want_trace) builder.trace(&tracer);
     if (!single && (want_events || want_timeline || want_trace))
         std::fprintf(stderr, "note: --events/--timeline/--trace-out only "
@@ -268,14 +281,9 @@ int run(int argc, char** argv) {
             std::printf("%s\n", text.c_str());
             return true;
         }
-        std::ofstream out(metrics_json);
-        out << text << '\n';
-        out.flush();
-        if (!out) {
-            std::fprintf(stderr, "error: could not write %s\n",
-                         metrics_json.c_str());
+        if (!write_file(metrics_json,
+                        [&text](std::ostream& out) { out << text << '\n'; }))
             return false;
-        }
         std::printf("wrote metrics JSON to %s\n", metrics_json.c_str());
         return true;
     };
@@ -298,10 +306,13 @@ int run(int argc, char** argv) {
                         window, timeline.render(0, window).c_str());
         }
         if (want_events) {
-            std::ofstream out(cli.get_string("events"));
-            events.write_csv(out);
+            const std::string& events_path = cli.get_string("events");
+            if (!write_file(events_path, [&events](std::ostream& out) {
+                    events.write_csv(out);
+                }))
+                return 1;
             std::printf("\nwrote %zu events to %s\n", events.size(),
-                        cli.get_string("events").c_str());
+                        events_path.c_str());
         }
         if (want_trace) {
             tracer.meta("tool", "volsched_sim");
@@ -309,14 +320,10 @@ int run(int argc, char** argv) {
             tracer.meta("model", model);
             tracer.meta("seed", std::to_string(seed));
             const std::string& trace_path = cli.get_string("trace-out");
-            std::ofstream out(trace_path);
-            tracer.write_json(out);
-            out.flush();
-            if (!out) {
-                std::fprintf(stderr, "error: could not write %s\n",
-                             trace_path.c_str());
+            if (!write_file(trace_path, [&tracer](std::ostream& out) {
+                    tracer.write_json(out);
+                }))
                 return 1;
-            }
             std::printf("wrote %zu trace events to %s\n", tracer.size(),
                         trace_path.c_str());
         }
