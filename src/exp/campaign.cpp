@@ -1,6 +1,7 @@
 #include "exp/campaign.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <exception>
@@ -11,6 +12,7 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 
 #include "api/registry.hpp"
@@ -405,8 +407,22 @@ read_manifest(const std::filesystem::path& dir) {
     // Byte counts go through a signed read: an unsigned one would take
     // "-5" as a huge count.
     long long jsonl_bytes = 0, csv_bytes = 0;
+    // write_manifest writes every key once; a missing one would silently
+    // read as its default (a "0 of 0 jobs, complete" shard).
+    static constexpr std::array<std::string_view, 7> kKeys = {
+        "fingerprint", "shard", "jobs", "instances", "jsonl", "csv",
+        "complete"};
+    std::array<bool, kKeys.size()> seen{};
     std::string key;
     while (in >> key) {
+        const auto known = std::find(kKeys.begin(), kKeys.end(), key);
+        if (known != kKeys.end()) {
+            bool& once = seen[static_cast<std::size_t>(known - kKeys.begin())];
+            if (once)
+                fail("duplicate manifest key '" + key + "' in '" +
+                     path.string() + "'");
+            once = true;
+        }
         if (key == "fingerprint") in >> m.fingerprint;
         else if (key == "shard") in >> m.shard_index >> m.shard_count;
         else if (key == "jobs") in >> m.jobs_done >> m.jobs_total;
@@ -425,6 +441,10 @@ read_manifest(const std::filesystem::path& dir) {
             fail("malformed manifest value for '" + key + "' in '" +
                  path.string() + "'");
     }
+    for (std::size_t i = 0; i < kKeys.size(); ++i)
+        if (!seen[i])
+            fail("manifest '" + path.string() + "' lacks the '" +
+                 std::string(kKeys[i]) + "' key");
     if (m.shard_count < 1 || m.shard_index < 1 ||
         m.shard_index > m.shard_count)
         fail("manifest '" + path.string() + "' names shard " +
@@ -435,6 +455,11 @@ read_manifest(const std::filesystem::path& dir) {
              std::to_string(m.jobs_done) + " of " +
              std::to_string(m.jobs_total) +
              " jobs, which is impossible (corrupted manifest?)");
+    if (m.complete != (m.jobs_done == m.jobs_total))
+        fail("manifest '" + path.string() + "' says complete " +
+             (m.complete ? "1" : "0") + " with " +
+             std::to_string(m.jobs_done) + " of " +
+             std::to_string(m.jobs_total) + " jobs done");
     if (m.instances_done < 0 || jsonl_bytes < 0 || csv_bytes < 0)
         fail("manifest '" + path.string() + "' holds a negative count");
     m.jsonl_bytes = static_cast<std::uint64_t>(jsonl_bytes);

@@ -1,11 +1,13 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <functional>
 #include <limits>
 #include <queue>
+#include <span>
 #include <stdexcept>
 #include <type_traits>
 
@@ -145,9 +147,11 @@ public:
             words_[i] |= o.words_[i];
     }
     void clear() noexcept { std::fill(words_.begin(), words_.end(), 0); }
-    [[nodiscard]] int size() const noexcept {
+    /// Member count, of the intersection with `mask` when given.
+    [[nodiscard]] int size(const WorkerSet* mask = nullptr) const noexcept {
         int n = 0;
-        for (const std::uint64_t w : words_) n += std::popcount(w);
+        for (std::size_t i = 0; i < words_.size(); ++i)
+            n += std::popcount(live(i, mask));
         return n;
     }
     bool operator==(const WorkerSet& o) const { return words_ == o.words_; }
@@ -208,6 +212,33 @@ enum class EventCause : std::uint8_t {
     Compute,     ///< a computing worker's task reaches completion
 };
 
+/// The slot phase a worker-set walk serves; each phase's walks are counted
+/// as `sim.visits.<phase>` (their sum is `sim.worker_visits`).
+enum class Phase : std::uint8_t { States, Transfers, Plan, Compute, EndOfSlot };
+constexpr std::array<const char*, 5> kPhaseCounters = {
+    "sim.visits.states", "sim.visits.transfers", "sim.visits.plan",
+    "sim.visits.compute", "sim.visits.end_of_slot"};
+
+/// How a steady_horizon call ended, counted as `sim.horizon.<exit>`: every
+/// exit but `Jump` makes the event core simulate the slot normally.
+enum class HorizonExit : std::uint8_t {
+    Precheck,    ///< walk-free round check: a heuristic round is due
+    Plan,        ///< plan_would_act
+    PendingData, ///< a deferred data transfer can start
+    StateChange, ///< an availability segment ends at t
+    Transfer,    ///< a transfer drains at t
+    Checkpoint,  ///< a checkpoint policy fires at t
+    Compute,     ///< a computation completes at t
+    MinJump,     ///< an inert stretch shorter than kMinJump
+    Jump,        ///< an inert stretch the run loop fast-forwards
+};
+constexpr std::array<const char*, 9> kHorizonCounters = {
+    "sim.horizon.precheck",     "sim.horizon.plan",
+    "sim.horizon.pending_data", "sim.horizon.state_change",
+    "sim.horizon.transfer",     "sim.horizon.checkpoint",
+    "sim.horizon.compute",      "sim.horizon.min_jump",
+    "sim.horizon.jump"};
+
 /// The event-driven core's frontier of (slot, event) candidates.
 /// Conceptually a priority queue ordered by slot; since any simulated slot
 /// can invalidate every queued prediction (a crash reshuffles the transfer
@@ -239,6 +270,8 @@ public:
         workers_.resize(p);
         up_.reset(p);
         holders_.reset(p);
+        transfers_.reset(p);
+        up_since_.assign(static_cast<std::size_t>(p), 0);
         views_.resize(static_cast<std::size_t>(p));
         nq_.assign(static_cast<std::size_t>(p), 0);
         planned_logical_.assign(static_cast<std::size_t>(p), -1);
@@ -312,6 +345,8 @@ public:
 private:
     /// Closes the run at `end` (the makespan, or the horizon).
     RunMetrics finish(long long end) {
+        phase_ = Phase::States;
+        for (int q = next_up(0); q >= 0; q = next_up(q + 1)) credit_up(q, end);
         metrics_.makespan = end;
         metrics_.iterations_completed = iterations_done_;
         for (RunObserver* o : config_.observers) o->end_run(end);
@@ -345,6 +380,7 @@ private:
     /// consulted (in index order, so events keep the sweep's order); every
     /// other worker provably holds its state.
     void advance_states(long long t) {
+        phase_ = Phase::States;
         changed_.clear();
         while (!change_queue_.empty() && change_queue_.top().first <= t) {
             changed_.push_back(change_queue_.top().second);
@@ -352,10 +388,14 @@ private:
         }
         std::sort(changed_.begin(), changed_.end());
         for (const ProcId q : changed_) {
-            ++work_.worker_visits;
+            visit(q);
             const ProcState prev = workers_.state[q];
             const ProcState next = consult(q, t);
             if (t > 0 && next == prev) continue;
+            // UP slots are credited per stretch, when it ends (slot 0's
+            // default Up credits nothing).
+            if (prev == ProcState::Up) credit_up(q, t);
+            if (next == ProcState::Up) up_since_[q] = t;
             workers_.state[q] = next;
             up_.assign(q, next == ProcState::Up);
             stale_views_.assign(q, true);
@@ -368,13 +408,12 @@ private:
             }
         }
         up_count_ = up_.size();
-        count_up_slots(1);
     }
 
-    /// Credits every UP worker with `n` UP slots.
-    void count_up_slots(long long n) {
-        for (int q = next_up(0); q >= 0; q = next_up(q + 1))
-            metrics_.per_proc[q].up_slots += n;
+    /// Credits UP worker q with its UP stretch [up_since_[q], end): when q
+    /// leaves UP at slot `end`, or when the run closes at `end`.
+    void credit_up(ProcId q, long long end) {
+        metrics_.per_proc[q].up_slots += end - up_since_[q];
     }
 
     /// Reads worker q's state at slot t and re-arms its change cache: the
@@ -429,8 +468,9 @@ private:
     /// stretch.  Returns false when some worker starts UP (the normal loop
     /// then runs slot 0).
     bool try_skip_initial_dead(long long& t) {
+        phase_ = Phase::States;
         for (int q = 0; q < pf_.size(); ++q) {
-            ++work_.worker_visits;
+            visit(q);
             ++work_.cursor_queries;
             if (cursors_[q].state_at(0) == ProcState::Up) return false;
         }
@@ -455,48 +495,41 @@ private:
     /// jump (>= t + kMinJump, or > t with no worker present), `active_`
     /// holds the stretch's transfer allocation for fast_forward().
     long long steady_horizon(long long t) {
+        // In dense phases a round is due almost every slot: settle that
+        // without a walk when the counts alone prove it.
+        if (round_due()) {
+            if (config_.audit) audit_round_due();
+            return horizon_exit(HorizonExit::Precheck, t);
+        }
+
         // Bandwidth allocation for the stretch: a cheap unsorted count
         // first — the advancing set only matters once the slot is known to
         // be inert, and the leftover budget feeds the act-now checks.
         // min_rem over ALL active transfers lower-bounds the remainder of
         // any advancing subset, so it bounds the first possible drain
         // without knowing the FIFO order.
-        int in_flight = 0;
-        int min_rem = std::numeric_limits<int>::max();
-        for (int q = next_up_holder(0); q >= 0; q = next_up_holder(q + 1)) {
-            const auto w = workers_[q];
-            if (w.prog_in_flight && w.prog_remaining > 0) {
-                ++in_flight;
-                min_rem = std::min(min_rem, w.prog_remaining);
-            }
-            if (w.staged != -1) {
-                const Instance& inst = instances_[w.staged];
-                if (inst.data_started && inst.data_remaining > 0) {
-                    ++in_flight;
-                    min_rem = std::min(min_rem, inst.data_remaining);
-                }
-            }
-            if (w.ckpt_in_flight && w.ckpt_remaining > 0) {
-                ++in_flight;
-                min_rem = std::min(min_rem, w.ckpt_remaining);
-            }
-        }
-        const int advancing = std::min(pf_.ncom, in_flight);
+        const InFlight flight = in_flight();
+        const int advancing = std::min(pf_.ncom, flight.count);
         const int budget = pf_.ncom - advancing;
 
-        // Scheduler decision point this slot?  Checked first: in dense
-        // phases this is the common exit, and it needs no sorting.
-        if (plan_would_act(budget)) return t;
+        // Scheduler decision point this slot?  Checked before the bounds
+        // below: it needs no sorting, and it settles what round_due could
+        // not (a passive class, or bandwidth that only the exact in-flight
+        // count shows free).
+        if (plan_would_act(budget))
+            return horizon_exit(HorizonExit::Plan, t);
 
         // A deferred data start (phase 2b) acts as soon as bandwidth is
         // free — or instantly when data is free.
+        phase_ = Phase::Transfers;
         if (budget > 0 || pf_.t_data == 0) {
             for (int q = next_up_holder(0); q >= 0;
                  q = next_up_holder(q + 1)) {
                 const auto w = workers_[q];
                 if (!w.has_program || w.staged == -1) continue;
                 const Instance& inst = instances_[w.staged];
-                if (!inst.data_started && !inst.data_done) return t;
+                if (!inst.data_started && !inst.data_done)
+                    return horizon_exit(HorizonExit::PendingData, t);
             }
         }
 
@@ -506,7 +539,7 @@ private:
         // states held since slot t-1, and the stretch ends where the first
         // RLE segment does.
         const long long change = next_state_change(t);
-        if (change <= t) return t;
+        if (change <= t) return horizon_exit(HorizonExit::StateChange, t);
         next.push(change, EventCause::StateChange);
 
         // Transfer completions: each advancing transfer drains to zero —
@@ -514,8 +547,9 @@ private:
         // lower bound over any advancing subset, so the pushed slot is at
         // or before the true first drain (a conservative, still-inert cap).
         if (advancing > 0) {
-            if (min_rem <= 1) return t;
-            next.push(t + min_rem - 1, EventCause::Transfer);
+            if (flight.min_rem <= 1)
+                return horizon_exit(HorizonExit::Transfer, t);
+            next.push(t + flight.min_rem - 1, EventCause::Transfer);
         }
 
         // Checkpoint decisions (phase 2b'): with no bandwidth and a
@@ -539,7 +573,8 @@ private:
                 const long long quiet =
                     config_.checkpoint->quiet_horizon(view);
                 // quiet may be kQuietForever: compare without adding lead.
-                if (quiet <= -static_cast<long long>(lead)) return t;
+                if (quiet <= -static_cast<long long>(lead))
+                    return horizon_exit(HorizonExit::Checkpoint, t);
                 if (quiet < config_.max_slots - t - lead)
                     next.push(t + lead + quiet, EventCause::Checkpoint);
             }
@@ -547,17 +582,100 @@ private:
 
         // Compute completions: an advancing computation drains to zero —
         // and completes — in slot t + remaining - 1.
+        phase_ = Phase::Compute;
         for (int q = next_up_holder(0); q >= 0; q = next_up_holder(q + 1)) {
             const auto w = workers_[q];
             if (w.computing == -1 || w.ckpt_in_flight) continue;
-            if (w.compute_remaining <= 1) return t;
+            if (w.compute_remaining <= 1)
+                return horizon_exit(HorizonExit::Compute, t);
             next.push(t + w.compute_remaining - 1, EventCause::Compute);
         }
 
         // Only a stretch the run loop will actually fast_forward needs the
         // sorted transfer allocation; the no-jump path skips the sort.
-        if (next.slot - t >= kMinJump || up_count_ == 0) build_active();
-        return next.slot;
+        if (next.slot - t < kMinJump && up_count_ > 0)
+            return horizon_exit(HorizonExit::MinJump, next.slot);
+        build_active();
+        return horizon_exit(HorizonExit::Jump, next.slot);
+    }
+
+    /// The transfers in flight to/from UP workers: how many, and the least
+    /// remainder among them.
+    struct InFlight {
+        int count = 0;
+        int min_rem = std::numeric_limits<int>::max();
+        void add(bool active, int rem) {
+            if (!active || rem <= 0) return;
+            ++count;
+            min_rem = std::min(min_rem, rem);
+        }
+    };
+    [[nodiscard]] InFlight in_flight() {
+        phase_ = Phase::Transfers;
+        InFlight f;
+        for (int q = next_up_transfer(0); q >= 0;
+             q = next_up_transfer(q + 1)) {
+            const auto w = workers_[q];
+            f.add(w.prog_in_flight, w.prog_remaining);
+            if (w.staged != -1) {
+                const Instance& inst = instances_[w.staged];
+                f.add(inst.data_started, inst.data_remaining);
+            }
+            f.add(w.ckpt_in_flight, w.ckpt_remaining);
+        }
+        return f;
+    }
+
+    /// Counts how steady_horizon ended, and returns its result `slot`.
+    long long horizon_exit(HorizonExit why, long long slot) {
+        ++work_.horizon[static_cast<std::size_t>(why)];
+        return slot;
+    }
+
+    /// Walk-free sufficient condition for plan_would_act: a non-passive
+    /// class with a worker present, bandwidth provably left over after the
+    /// in-flight transfers, and a pool original to plan (or a replica to
+    /// consider) runs a heuristic round.  Each UP worker in `transfers_`
+    /// advances at most one transfer, or two when a checkpoint upload can
+    /// ride beside its data (a program download excludes both: data starts
+    /// only once the program is held, and only a computing worker uploads).
+    [[nodiscard]] bool round_due() const {
+        if (config_.plan_class == SchedulerClass::Passive || up_count_ == 0)
+            return false;
+        if (pf_.t_data > 0 &&
+            transfers_.size(&up_) * (config_.checkpoint ? 2 : 1) >= pf_.ncom)
+            return false;
+        if (may_replicate()) return true;
+        for (const Instance& inst : originals())
+            if (inst.status == InstStatus::Pool) return true;
+        return false;
+    }
+
+    /// Audit-mode check that round_due only claims what plan_would_act
+    /// confirms under the exact in-flight count.
+    void audit_round_due() {
+        if (!plan_would_act(pf_.ncom -
+                            std::min(pf_.ncom, in_flight().count)))
+            throw std::logic_error("audit: walk-free round check claimed a "
+                                   "round the full check would not run");
+    }
+
+    /// Replica candidates are planned only when UP workers outnumber the
+    /// remaining tasks (Section 6.1).
+    [[nodiscard]] bool may_replicate() const {
+        return config_.replica_cap > 0 && up_count_ > remaining_logical_;
+    }
+
+    /// The iteration's originals: the original of logical task i is
+    /// instances_[i], and the pool only ever holds originals
+    /// (audit_invariants checks both), so a pool scan reads these m.
+    [[nodiscard]] std::span<Instance> originals() {
+        return {instances_.data(),
+                static_cast<std::size_t>(config_.tasks_per_iteration)};
+    }
+    [[nodiscard]] std::span<const Instance> originals() const {
+        return {instances_.data(),
+                static_cast<std::size_t>(config_.tasks_per_iteration)};
     }
 
     /// Mirrors plan_and_commit's control flow without side effects: true
@@ -566,27 +684,25 @@ private:
     /// from the earlier phases.  Every input read here is constant across a
     /// steady stretch, so a false answer holds for the whole stretch.
     [[nodiscard]] bool plan_would_act(int budget) {
+        phase_ = Phase::Plan;
         if (proactive_would_act()) return true;
         if (budget == 0 && pf_.t_data > 0) return false;
         // With no worker present nothing plans, commits, or replicates
         // (may_replicate needs up_count_ > remaining_logical_ >= 0 and the
         // commit sweep needs an UP target), so the phase is inert.
         if (up_count_ == 0) return false;
-        const bool may_replicate =
-            config_.replica_cap > 0 && up_count_ > remaining_logical_;
         // A heuristic round runs: begin_round plus RNG-consuming selects.
-        if (may_replicate) return true;
+        if (may_replicate()) return true;
         if (config_.plan_class != SchedulerClass::Passive) {
             // Non-passive classes re-plan every round: any pool instance
-            // means a round runs.  Early exit — this is the dense-phase
-            // common path and instances_ can be long.
-            for (const auto& inst : instances_)
+            // means a round runs.
+            for (const auto& inst : originals())
                 if (inst.status == InstStatus::Pool) return true;
             return false;
         }
         bool any_pool = false;
         bool any_unplanned = false;
-        for (const auto& inst : instances_) {
+        for (const auto& inst : originals()) {
             if (inst.status != InstStatus::Pool) continue;
             any_pool = true;
             if (inst.planned == kNoProc) any_unplanned = true;
@@ -598,7 +714,7 @@ private:
         // free buffer and the bandwidth/zero-cost rules let a transfer (or
         // a stage-behind-program) start.
         if (budget == 0 && pf_.t_data > 0 && pf_.t_prog > 0) return false;
-        for (const auto& inst : instances_) {
+        for (const auto& inst : originals()) {
             if (inst.status != InstStatus::Pool || inst.planned == kNoProc)
                 continue;
             const auto w = workers_[inst.planned];
@@ -694,14 +810,10 @@ private:
         if (config_.audit) audit_steady_range(from, to);
         int budget = pf_.ncom;
         advance_in_flight(budget, n);
-        count_up_slots(n);
         advance_compute(n);
         metrics_.slots_elided += n;
         if (up_count_ == 0) metrics_.dead_slots_skipped += n;
         record_slots(from, to, /*elided=*/true);
-        // Every flag above went to a holder.
-        for (int q = next_holder(0); q >= 0; q = next_holder(q + 1))
-            slot_flags_[q] = 0;
     }
 
     /// Audit-mode re-verification of an elided range: checks that the
@@ -868,8 +980,10 @@ private:
     /// advance this slot — and, since the order is a pure function of state
     /// that only simulated slots change, every slot of a steady stretch.
     void build_active() {
+        phase_ = Phase::Transfers;
         active_.clear();
-        for (int q = next_up_holder(0); q >= 0; q = next_up_holder(q + 1)) {
+        for (int q = next_up_transfer(0); q >= 0;
+             q = next_up_transfer(q + 1)) {
             const auto w = workers_[q];
             if (w.prog_in_flight && w.prog_remaining > 0)
                 active_.push_back({w.prog_start, q, TransferKind::Prog});
@@ -902,11 +1016,11 @@ private:
             auto w = workers_[tr.proc];
             if (tr.kind == TransferKind::Prog) {
                 w.prog_remaining -= units;
-                slot_flags_[tr.proc] |= SlotActivity::kProgram;
+                flag(tr.proc, SlotActivity::kProgram);
                 record_recv(tr.proc, -2);
             } else if (tr.kind == TransferKind::Data) {
                 instances_[w.staged].data_remaining -= units;
-                slot_flags_[tr.proc] |= SlotActivity::kData;
+                flag(tr.proc, SlotActivity::kData);
                 record_recv(tr.proc, instances_[w.staged].logical);
             } else {
                 // Checkpoint upload: master-bound, so it is not a received
@@ -914,7 +1028,7 @@ private:
                 // model the off-line validator checks) and not counted in
                 // transfer_slots (program + data); it has its own counter.
                 w.ckpt_remaining -= units;
-                slot_flags_[tr.proc] |= SlotActivity::kCheckpoint;
+                flag(tr.proc, SlotActivity::kCheckpoint);
                 metrics_.checkpoint_slots += n;
                 ++transfers_this_slot_;
                 --budget;
@@ -934,6 +1048,7 @@ private:
     /// policy that never fires (`none`) leaves the run bit-identical.
     void start_checkpoints(long long t, int& budget) {
         if (!config_.checkpoint) return;
+        phase_ = Phase::Transfers;
         for (int q = next_up_holder(0); q >= 0; q = next_up_holder(q + 1)) {
             auto w = workers_[q];
             if (w.computing == -1 || w.ckpt_in_flight) continue;
@@ -955,10 +1070,11 @@ private:
             w.ckpt_start = t;
             w.ckpt_progress = progress;
             w.since_ckpt = 0;
+            sync_transfer(q);
             ++metrics_.checkpoint_slots;
             ++transfers_this_slot_;
             --budget;
-            slot_flags_[q] |= SlotActivity::kCheckpoint;
+            flag(q, SlotActivity::kCheckpoint);
             emit(EventKind::CheckpointStart, q, inst);
         }
     }
@@ -1006,6 +1122,7 @@ private:
     /// Phase 2b: start data transfers for committed instances that were
     /// waiting behind their worker's program download (FIFO by commit time).
     void start_pending_data(long long t, int& budget) {
+        phase_ = Phase::Transfers;
         pending_.clear();
         for (int q = next_up_holder(0); q >= 0; q = next_up_holder(q + 1)) {
             const auto w = workers_[q];
@@ -1034,22 +1151,25 @@ private:
         inst.data_started = true;
         if (pf_.t_data == 0) {
             inst.data_done = true;
+            promotion_due_ = true;
         } else {
             workers_.data_start[q] = t;
             --inst.data_remaining;
             spend_download(q, budget, SlotActivity::kData, inst.logical);
+            sync_transfer(q);
         }
         emit(EventKind::DataStart, q, inst);
     }
 
     /// Books one slot-unit of master bandwidth for a download to q that
     /// receives `recv` (-2: program, else task data).
-    void spend_download(ProcId q, int& budget, std::uint8_t flag, int recv) {
+    void spend_download(ProcId q, int& budget, std::uint8_t activity,
+                        int recv) {
         ++metrics_.per_proc[q].transfer_slots;
         ++metrics_.transfer_slots;
         ++transfers_this_slot_;
         --budget;
-        slot_flags_[q] |= flag;
+        flag(q, activity);
         record_recv(q, recv);
     }
 
@@ -1057,21 +1177,20 @@ private:
     /// one, then replica candidates, then commit transfers in plan order
     /// while bandwidth lasts.
     void plan_and_commit(Scheduler& sched, long long t, int& budget) {
+        phase_ = Phase::Plan;
         proactive_reassess();
         if (budget == 0 && pf_.t_data > 0) return;
 
         // Pool originals needing a (re-)plan.
         pool_.clear();
-        for (int id = 0; id < static_cast<int>(instances_.size()); ++id) {
-            Instance& inst = instances_[id];
+        for (Instance& inst : originals()) {
             if (inst.status != InstStatus::Pool) continue;
             if (config_.plan_class != SchedulerClass::Passive)
                 inst.planned = kNoProc;
-            pool_.push_back(id);
+            pool_.push_back(inst.logical);
         }
 
-        const bool may_replicate =
-            config_.replica_cap > 0 && up_count_ > remaining_logical_;
+        const bool may_replicate = this->may_replicate();
         const bool must_plan =
             std::any_of(pool_.begin(), pool_.end(),
                         [this](int id) {
@@ -1119,16 +1238,26 @@ private:
             // 1. Original tasks, in logical order, one by one.  A processor
             // already holding a live sibling of the task is excluded
             // (running two copies of a task on one host is pure waste).
+            // With the pool original the task's only live copy, nobody
+            // holds a sibling and every UP worker is a candidate.
             for (int id : pool_) {
                 Instance& inst = instances_[id];
                 if (inst.planned != kNoProc) continue; // sticky, already set
-                scratch_.clear();
-                for (ProcId q : eligible_)
-                    if (!holds_logical(q, inst.logical))
-                        scratch_.push_back(q);
-                if (scratch_.empty()) continue;
+                const bool lone = logical_live_[inst.logical] == 1;
+                if (!lone || config_.audit) {
+                    scratch_.clear();
+                    for (ProcId q : eligible_)
+                        if (!holds_logical(q, inst.logical))
+                            scratch_.push_back(q);
+                    if (lone && scratch_ != eligible_)
+                        throw std::logic_error(
+                            "audit: a lone pool original has a holder");
+                }
+                const std::vector<ProcId>& candidates =
+                    lone ? eligible_ : scratch_;
+                if (candidates.empty()) continue;
                 const ProcId q =
-                    sched.select(view, scratch_, nq_, sched_rng_);
+                    sched.select(view, candidates, nq_, sched_rng_);
                 inst.planned = q;
                 inst.plan_seq = plan_counter_++;
                 note_planned(q, view);
@@ -1139,13 +1268,15 @@ private:
             // logical task; restricted to buffer-free processors so that a
             // committed replica starts transferring immediately.
             if (may_replicate) {
+                free_eligible_.clear();
+                for (ProcId q : eligible_)
+                    if (views_[q].buffer_free) free_eligible_.push_back(q);
                 for (int lt = 0; lt < config_.tasks_per_iteration; ++lt) {
                     if (logical_done_[lt]) continue;
                     int live = logical_live_[lt];
                     while (live < 1 + config_.replica_cap) {
                         scratch_.clear();
-                        for (ProcId q : eligible_) {
-                            if (!views_[q].buffer_free) continue;
+                        for (ProcId q : free_eligible_) {
                             if (holds_logical(q, lt)) continue;
                             if (planned_logical_[q] == lt) continue;
                             if (plans_logical(q, lt)) continue;
@@ -1285,6 +1416,7 @@ private:
     /// Phase 3, for `n` slots: every UP worker holding a data-complete
     /// task computes, unless its snapshot is uploading.
     void advance_compute(long long n) {
+        phase_ = Phase::Compute;
         for (int q = next_up_holder(0); q >= 0; q = next_up_holder(q + 1)) {
             auto w = workers_[q];
             if (w.computing == -1) continue;
@@ -1292,23 +1424,27 @@ private:
             // classic checkpoint overhead the policies must amortize.
             if (w.ckpt_in_flight) continue;
             w.compute_remaining -= static_cast<int>(n);
+            if (w.compute_remaining <= 0) completion_due_ = true;
             w.since_ckpt += static_cast<int>(n);
             metrics_.compute_slots += n;
             metrics_.per_proc[q].compute_slots += n;
-            slot_flags_[q] |= SlotActivity::kCompute;
+            flag(q, SlotActivity::kCompute);
             record_compute(q, instances_[w.computing].logical);
         }
     }
 
     /// Phase 4: completions, promotions, iteration boundary.  Returns true
-    /// when the final iteration finished during this slot.
+    /// when the final iteration finished during this slot.  Each walk runs
+    /// only when something can have happened for it to materialize: a
+    /// transfer drains only on a worker in `transfers_`, a task completes
+    /// only after advance_compute drove its counter to zero, and a staged
+    /// task becomes promotable only when its data completes or the task
+    /// ahead of it completes.  Audit mode runs the skipped walks too and
+    /// throws if they find work.
     bool end_of_slot(long long t) {
-        // Only holders carry activity flags (every flagged worker got them
-        // from a transfer or computation it holds), so this sweep also
-        // clears the flags record_slots has consumed.
-        for (int q = next_holder(0); q >= 0; q = next_holder(q + 1)) {
+        phase_ = Phase::EndOfSlot;
+        for (int q = next_transfer(0); q >= 0; q = next_transfer(q + 1)) {
             auto w = workers_[q];
-            slot_flags_[q] = 0;
             if (w.prog_in_flight && w.prog_remaining == 0) {
                 w.prog_in_flight = false;
                 w.has_program = true;
@@ -1321,6 +1457,7 @@ private:
                 if (inst.data_started && inst.data_remaining == 0 &&
                     !inst.data_done) {
                     inst.data_done = true;
+                    promotion_due_ = true;
                     emit(EventKind::DataComplete, q, inst);
                 }
             }
@@ -1335,43 +1472,25 @@ private:
                                   w.ckpt_progress);
                 w.ckpt_progress = 0;
             }
+            sync_transfer(q);
         }
         // Task completions (may cancel siblings staged on other workers).
-        for (int q = next_holder(0); q >= 0; q = next_holder(q + 1)) {
-            auto w = workers_[q];
-            if (w.computing == -1 || w.compute_remaining > 0) continue;
-            complete_instance(w.computing);
+        if (completion_due_ || config_.audit) {
+            for (int q = next_holder(0); q >= 0; q = next_holder(q + 1)) {
+                auto w = workers_[q];
+                if (w.computing == -1 || w.compute_remaining > 0) continue;
+                if (!completion_due_)
+                    throw std::logic_error("audit: unflagged completion");
+                complete_instance(w.computing);
+                promotion_due_ = true;
+            }
+            completion_due_ = false;
         }
         // Promotions: a data-complete staged task starts computing next slot.
-        for (int q = next_holder(0); q >= 0; q = next_holder(q + 1)) {
-            auto w = workers_[q];
-            if (w.computing != -1 || w.staged == -1) continue;
-            Instance& inst = instances_[w.staged];
-            if (!inst.data_done) continue;
-            w.computing = w.staged;
-            w.staged = -1;
-            w.data_start = -1;
-            w.compute_remaining = pf_.w[q];
-            w.since_ckpt = 0;
-            w.compute_credit = 0;
-            w.ckpt_committed = 0;
-            if (config_.checkpoint && inst.kind == InstKind::Original) {
-                // Restart-from-checkpoint: a committed snapshot of this
-                // logical task credits the new incarnation with the work it
-                // preserves (translated to this worker's speed).  Originals
-                // only — a snapshot exists to shorten the post-crash redo,
-                // not to give speculative replicas a head start.
-                const int credit = ckpt_credit(inst.logical, pf_.w[q]);
-                if (credit > 0) {
-                    w.compute_remaining -= credit;
-                    w.compute_credit = credit;
-                    w.ckpt_committed = credit;
-                    metrics_.saved_compute_slots += credit;
-                    ++metrics_.recoveries;
-                    emit(EventKind::Recovery, q, inst);
-                }
-            }
-            emit(EventKind::ComputeStart, q, instances_[w.computing]);
+        if (promotion_due_ || config_.audit) {
+            for (int q = next_holder(0); q >= 0; q = next_holder(q + 1))
+                promote(q);
+            promotion_due_ = false;
         }
         if (remaining_logical_ == 0) {
             emit(EventKind::IterationComplete, kNoProc);
@@ -1381,6 +1500,41 @@ private:
             start_iteration();
         }
         return false;
+    }
+
+    /// Starts worker q's staged task computing next slot if its data is
+    /// complete and nothing computes ahead of it.
+    void promote(ProcId q) {
+        auto w = workers_[q];
+        if (w.computing != -1 || w.staged == -1) return;
+        Instance& inst = instances_[w.staged];
+        if (!inst.data_done) return;
+        if (!promotion_due_)
+            throw std::logic_error("audit: unflagged promotion");
+        w.computing = w.staged;
+        w.staged = -1;
+        w.data_start = -1;
+        w.compute_remaining = pf_.w[q];
+        w.since_ckpt = 0;
+        w.compute_credit = 0;
+        w.ckpt_committed = 0;
+        if (config_.checkpoint && inst.kind == InstKind::Original) {
+            // Restart-from-checkpoint: a committed snapshot of this
+            // logical task credits the new incarnation with the work it
+            // preserves (translated to this worker's speed).  Originals
+            // only — a snapshot exists to shorten the post-crash redo,
+            // not to give speculative replicas a head start.
+            const int credit = ckpt_credit(inst.logical, pf_.w[q]);
+            if (credit > 0) {
+                w.compute_remaining -= credit;
+                w.compute_credit = credit;
+                w.ckpt_committed = credit;
+                metrics_.saved_compute_slots += credit;
+                ++metrics_.recoveries;
+                emit(EventKind::Recovery, q, inst);
+            }
+        }
+        emit(EventKind::ComputeStart, q, instances_[w.computing]);
     }
 
     void complete_instance(int id) {
@@ -1433,13 +1587,18 @@ private:
 
     // ---- worker sets ---------------------------------------------------
 
-    /// Walks of the UP set, the holder set and their intersection: the
-    /// first member >= `from`, or -1.  Each step counts one worker visit.
+    /// Walks of the UP, holder and transfer sets and of their
+    /// intersections with the UP set: the first member >= `from`, or -1.
+    /// Each step counts one worker visit to the current phase.
     int next_up(int from) { return visit(up_.next(from)); }
     int next_holder(int from) { return visit(holders_.next(from)); }
     int next_up_holder(int from) { return visit(holders_.next(from, &up_)); }
+    int next_transfer(int from) { return visit(transfers_.next(from)); }
+    int next_up_transfer(int from) {
+        return visit(transfers_.next(from, &up_));
+    }
     int visit(int q) {
-        if (q >= 0) ++work_.worker_visits;
+        if (q >= 0) ++work_.visits[static_cast<std::size_t>(phase_)];
         return q;
     }
 
@@ -1452,17 +1611,41 @@ private:
     }
     void sync_holder(ProcId q) {
         holders_.assign(q, holds_work(q));
+        sync_transfer(q);
         stale_views_.assign(q, true);
     }
+
+    /// A worker with a transfer in flight: a program download, a started
+    /// data download not yet materialized, or a checkpoint upload.
+    [[nodiscard]] bool moves_data(ProcId q) const {
+        const auto w = workers_[q];
+        if (w.prog_in_flight || w.ckpt_in_flight) return true;
+        if (w.staged == -1) return false;
+        const Instance& inst = instances_[w.staged];
+        return inst.data_started && !inst.data_done;
+    }
+    void sync_transfer(ProcId q) { transfers_.assign(q, moves_data(q)); }
 
     /// Adds the run's work counters to the installed metrics registry, if
     /// any (once per run: nothing is counted through atomics per slot).
     void publish_work() const {
         obs::Registry* const reg = obs::Registry::active();
         if (!reg) return;
-        reg->counter("sim.worker_visits").add(work_.worker_visits);
+        long long visits = 0;
+        for (std::size_t i = 0; i < kPhaseCounters.size(); ++i) {
+            reg->counter(kPhaseCounters[i]).add(work_.visits[i]);
+            visits += work_.visits[i];
+        }
+        reg->counter("sim.worker_visits").add(visits);
+        for (std::size_t i = 0; i < kHorizonCounters.size(); ++i)
+            reg->counter(kHorizonCounters[i]).add(work_.horizon[i]);
         reg->counter("sim.cursor_queries").add(work_.cursor_queries);
         reg->counter("sim.slots_stepped").add(work_.slots_stepped);
+    }
+
+    /// Marks worker q's activity this slot; kept only for the observers.
+    void flag(ProcId q, std::uint8_t activity) {
+        if (!config_.observers.empty()) slot_flags_[q] |= activity;
     }
 
     /// Actions of the slot (or steady stretch) in progress, reported by
@@ -1490,6 +1673,7 @@ private:
             o->on_slots(from, to, activity);
         slot_recv_.clear();
         slot_compute_.clear();
+        std::fill(slot_flags_.begin(), slot_flags_.end(), 0);
     }
 
     void emit(EventKind kind, ProcId proc, int logical = -1,
@@ -1573,18 +1757,20 @@ private:
     }
 
     /// Audit-mode rebuild of the incremental stepping state from scratch:
-    /// the UP and holder sets from the worker columns, and the change cache
-    /// from the realized traces (each cached slot must be the end of the
-    /// worker's current segment, or a lookahead cap inside it, and the
-    /// queue must hold exactly one entry per worker at that slot).  Also
-    /// checks that no activity flag outlives its slot.
+    /// the UP, holder and transfer sets from the worker columns, and the
+    /// change cache from the realized traces (each cached slot must be the
+    /// end of the worker's current segment, or a lookahead cap inside it,
+    /// and the queue must hold exactly one entry per worker at that slot).
+    /// Also checks that no activity flag outlives its slot.
     void audit_worker_sets() const {
-        WorkerSet up, holders;
+        WorkerSet up, holders, transfers;
         up.reset(pf_.size());
         holders.reset(pf_.size());
+        transfers.reset(pf_.size());
         for (int q = 0; q < pf_.size(); ++q) {
             up.assign(q, workers_.state[q] == ProcState::Up);
             holders.assign(q, holds_work(q));
+            transfers.assign(q, moves_data(q));
             if (slot_flags_[q] != 0)
                 throw std::logic_error("audit: activity flag left set");
         }
@@ -1592,6 +1778,8 @@ private:
             throw std::logic_error("audit: UP set drift");
         if (!(holders == holders_))
             throw std::logic_error("audit: holder set drift");
+        if (!(transfers == transfers_))
+            throw std::logic_error("audit: transfer set drift");
         for (int q = 0; q < pf_.size(); ++q) {
             const auto& segs = traces_->trace(q).segments();
             const auto seg = std::upper_bound(
@@ -1706,9 +1894,13 @@ private:
     WorkerSoA workers_;
     WorkerSet up_;      ///< workers in state UP (maintained by phase 1)
     WorkerSet holders_; ///< workers for which holds_work() is true
+    WorkerSet transfers_; ///< workers for which moves_data() is true
     /// Workers whose views_ entry may be out of date (holders always are).
     WorkerSet stale_views_;
     int up_count_ = 0;  ///< up_.size(), as of the current slot
+    /// Slot at which each worker last entered UP; its UP slots are
+    /// credited when it leaves UP (credit_up).
+    std::vector<long long> up_since_;
     markov::RealizedTraces* traces_; ///< the replayed realization (audit)
     /// Availability change cache: the slot at which each worker's cursor
     /// must next be consulted, whether that slot is a lookahead cap rather
@@ -1720,12 +1912,15 @@ private:
                         std::vector<std::pair<long long, ProcId>>,
                         std::greater<>>
         change_queue_;
-    /// Deterministic work counters, published once per run.
+    /// Deterministic work counters, published once per run: worker visits
+    /// per phase, steady_horizon exits per cause.
     struct {
-        long long worker_visits = 0;
+        std::array<long long, kPhaseCounters.size()> visits{};
+        std::array<long long, kHorizonCounters.size()> horizon{};
         long long cursor_queries = 0;
         long long slots_stepped = 0;
     } work_;
+    Phase phase_ = Phase::States; ///< the phase whose walks visit() counts
     std::vector<Instance> instances_;
     std::vector<TaskCheckpoint> ckpt_store_; ///< per logical task, per iter
     std::vector<bool> logical_done_;
@@ -1735,7 +1930,14 @@ private:
     long long plan_counter_ = 0;
     int transfers_this_slot_ = 0;
     long long slot_ = 0;
+    /// Per-worker activity of the slot in progress; written only when an
+    /// observer listens, and cleared by record_slots.
     std::vector<std::uint8_t> slot_flags_;
+    /// end_of_slot's completion and promotion walks are due: some
+    /// computation reached zero, or some data (or a completion ahead of a
+    /// staged task) completed since the last end of slot.
+    bool completion_due_ = false;
+    bool promotion_due_ = false;
 
     RunMetrics metrics_;
 
@@ -1747,6 +1949,7 @@ private:
     std::vector<int> nq_; ///< this round's instances per worker
     std::vector<ProcId> planned_procs_; ///< workers with nq_ > 0
     std::vector<ProcId> eligible_;
+    std::vector<ProcId> free_eligible_; ///< eligible_ with a free buffer
     std::vector<ProcId> scratch_;
     std::vector<int> commit_order_;
     std::vector<std::pair<int, ProcId>> replica_plan_;

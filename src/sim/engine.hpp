@@ -45,20 +45,28 @@
 ///    re-verifies every elided range.
 ///
 /// In both cores a simulated slot costs time in proportion to the workers
-/// that are UP or hold work (a program download, a staged or computing
-/// instance, a checkpoint upload), plus the workers whose availability
-/// segment ends in that slot — not in proportion to the fleet size.  The
-/// runner keeps the UP and holder sets incrementally, in processor order,
-/// and a per-worker cache of the slot where each RLE segment ends; a
-/// scheduling round additionally refreshes only the processor views that
-/// can have changed, resets only the per-worker round scratch the previous
-/// round wrote, and the bundled heuristics score (and pin) only the
-/// candidates they are offered.  What still scales with P: a plugin
-/// heuristic that walks every SchedView entry per round, the observers
-/// (sim/observer.hpp; a timeline writes one entry per worker per slot),
-/// and audit mode.  Each run adds its work counters (`sim.worker_visits`,
-/// `sim.cursor_queries`, `sim.slots_stepped`) to the installed
-/// obs::Registry, if any.
+/// that can act in it — UP workers holding work (a program download, a
+/// staged or computing instance, a checkpoint upload), workers with a
+/// transfer in flight, and the workers whose availability segment ends in
+/// that slot — plus the UP workers a scheduling round offers as
+/// candidates; not in proportion to the fleet size.  The runner keeps the
+/// UP, holder and transfer sets incrementally, in processor order, and a
+/// per-worker cache of the slot where each RLE segment ends.  UP slots are
+/// credited per UP stretch rather than per slot, the end-of-slot
+/// completion and promotion walks run only when a computation or a data
+/// transfer finished, and a walk-free check settles the common "a round is
+/// due" case before the event core computes a horizon.  A scheduling round
+/// refreshes only the processor views that can have changed, resets only
+/// the per-worker round scratch the previous round wrote, and the bundled
+/// heuristics score (and pin) only the candidates they are offered.  What
+/// still scales with P: a plugin heuristic that walks every SchedView
+/// entry per round, the observers (sim/observer.hpp; a timeline writes one
+/// entry per worker per slot, and the activity flags are cleared per
+/// recorded slot), and audit mode.  Each run adds its work counters
+/// (`sim.worker_visits` and its per-phase split `sim.visits.*`, the
+/// horizon exits `sim.horizon.*`, `sim.cursor_queries`,
+/// `sim.slots_stepped`; API.md lists them) to the installed obs::Registry,
+/// if any.
 
 #include <memory>
 #include <vector>

@@ -228,18 +228,32 @@ TEST(Campaign, ReadManifestRejectsImpossibleManifests) {
     };
     const std::string head =
         "volsched-campaign-manifest 1\nfingerprint 7\n";
+    const std::string bytes = "jsonl 10\ncsv 0\n";
     const std::string tail = "instances 6\ncomplete 0\n";
-    write(head + "shard 1 2\njobs 3 8\njsonl 10\ncsv 0\n" + tail);
+    write(head + "shard 1 2\njobs 3 8\n" + bytes + tail);
     EXPECT_TRUE(ve::read_manifest(dir.path()).has_value());
     // Every reader (run's resume, status, merge) sees the same rejection.
     for (const std::string& bad : {
-             std::string{},                                     // empty file
-             head + "shard 1 2\njobs -5 4\n" + tail,            // done < 0
-             head + "shard 1 2\njobs 9 8\n" + tail,             // done > total
-             head + "shard 3 2\njobs 3 8\n" + tail,             // index > count
-             head + "shard 0 2\njobs 3 8\n" + tail,             // index < 1
-             head + "shard 1 2\njobs 3 8\njsonl -10\n" + tail, // bytes < 0
-             head + "shard 1 2\njobs 3 8\ncsv -1\n" + tail,
+             std::string{},                                  // empty file
+             head + "shard 1 2\njobs -5 4\n" + bytes + tail, // done < 0
+             head + "shard 1 2\njobs 9 8\n" + bytes + tail,  // done > total
+             head + "shard 3 2\njobs 3 8\n" + bytes + tail,  // index > count
+             head + "shard 0 2\njobs 3 8\n" + bytes + tail,  // index < 1
+             head + "shard 1 2\njobs 3 8\njsonl -10\ncsv 0\n" + tail,
+             head + "shard 1 2\njobs 3 8\njsonl 10\ncsv -1\n" + tail,
+             // Missing keys would read as their defaults: this one would
+             // be a "0/0 jobs, complete" shard 1/1.
+             std::string{"volsched-campaign-manifest 1\ncomplete 1\n"},
+             head + "jobs 3 8\n" + bytes + tail,            // no shard
+             head + "shard 1 2\njobs 3 8\ncsv 0\n" + tail,  // no jsonl
+             head + "shard 1 2\njobs 3 8\n" + bytes + "instances 6\n",
+             // A key given twice.
+             head + "shard 1 2\njobs 3 8\n" + bytes + "jobs 3 8\n" + tail,
+             head + "fingerprint 7\nshard 1 2\njobs 3 8\n" + bytes + tail,
+             // `complete` must say whether every job is done.
+             head + "shard 1 2\njobs 3 8\n" + bytes +
+                 "instances 6\ncomplete 1\n",
+             head + "shard 1 2\njobs 8 8\n" + bytes + tail,
          }) {
         write(bad);
         EXPECT_THROW(ve::read_manifest(dir.path()), std::runtime_error)

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -353,9 +354,137 @@ TEST(EventEngine, WorkCountersFollowPresentWorkersNotFleetSize) {
         EXPECT_LT(visits, stepped * kProcs)
             << label << ": " << visits << " worker visits in " << stepped
             << " stepped slots of a " << kProcs << "-worker fleet";
+        // The per-phase visit counters partition the total.
+        long long phases = 0;
+        for (const char* phase : {"states", "transfers", "plan", "compute",
+                                  "end_of_slot"}) {
+            const long long n =
+                registry.counter(std::string("sim.visits.") + phase).value();
+            EXPECT_GE(n, 0) << label << " " << phase;
+            phases += n;
+        }
+        EXPECT_EQ(phases, visits) << label;
+        EXPECT_GT(registry.counter("sim.visits.states").value(), 0) << label;
+        EXPECT_GT(registry.counter("sim.visits.plan").value(), 0) << label;
+        // Horizon exits: the slot loop never asks for a horizon; the event
+        // core's jumps are what it elides.
+        long long exits = 0;
+        for (const char* exit :
+             {"precheck", "plan", "pending_data", "state_change", "transfer",
+              "checkpoint", "compute", "min_jump", "jump"})
+            exits +=
+                registry.counter(std::string("sim.horizon.") + exit).value();
+        const long long jumps = registry.counter("sim.horizon.jump").value();
+        if (event_driven) {
+            EXPECT_GT(jumps, 0) << label;
+            EXPECT_GT(exits, jumps) << label;
+        } else {
+            EXPECT_EQ(exits, 0) << label;
+        }
         // The slot loop steps every slot of the run.
         if (!event_driven) {
             EXPECT_EQ(stepped, bare.timeline.slots()) << label;
+        }
+    }
+}
+
+namespace {
+
+/// Worker q's UP slots in [0, end), read straight from the realized RLE
+/// segments: the oracle for the engine's per-worker up_slots, which it
+/// credits one UP stretch at a time.
+std::vector<long long> realized_up_slots(const vs::Simulation& sim,
+                                         long long end) {
+    const auto rt = sim.realization();
+    rt->ensure(end);
+    std::vector<long long> up;
+    for (int q = 0; q < rt->size(); ++q) {
+        long long n = 0;
+        for (const auto& seg : rt->trace(q).segments())
+            if (seg.state == vm::ProcState::Up && seg.begin < end)
+                n += std::min(seg.end, end) - seg.begin;
+        up.push_back(n);
+    }
+    return up;
+}
+
+/// Runs `sim` under `heuristic` and checks every worker's up_slots against
+/// the realization; returns the run's metrics.
+vs::RunMetrics expect_up_slots_match(const vs::Simulation& sim,
+                                     const std::string& heuristic,
+                                     const std::string& label) {
+    const auto sched = vc::make_scheduler(heuristic);
+    const vs::RunMetrics m = sim.run(*sched);
+    const auto want = realized_up_slots(sim, m.makespan);
+    EXPECT_EQ(m.per_proc.size(), want.size()) << label;
+    for (std::size_t q = 0; q < want.size() && q < m.per_proc.size(); ++q)
+        EXPECT_EQ(m.per_proc[q].up_slots, want[q]) << label << " q" << q;
+    return m;
+}
+
+} // namespace
+
+TEST(EventEngine, UpSlotsMatchTheRealizationOnBothCores) {
+    // The stepping differential test compares the two cores with each
+    // other, so it cannot see an accounting bug they share; this one
+    // reads the answer off the realized trace instead.
+    for (const bool event_driven : {false, true}) {
+        const std::string core = event_driven ? "event core" : "slot loop";
+
+        // Markov: frequent UP/RECLAIMED/DOWN changes, replication on.
+        vs::Platform pf;
+        pf.w = {2, 3, 4, 5};
+        pf.ncom = 2;
+        pf.t_prog = 3;
+        pf.t_data = 1;
+        const std::vector<vm::MarkovChain> chains(
+            4, vt::chain3(0.35, 0.05, 0.10, 0.30, 0.15, 0.05));
+        vs::EngineConfig cfg = vt::audited_config(3, 5);
+        cfg.event_driven = event_driven;
+        for (const std::string h : {"emct", "mct*", "random"}) {
+            const auto sim = vs::Simulation::from_chains(pf, chains, cfg, 41);
+            const auto m = expect_up_slots_match(sim, h, core + " markov " + h);
+            EXPECT_TRUE(m.completed) << core << " " << h;
+        }
+
+        // A run cut at max_slots: the workers still UP at the cut are
+        // credited up to it.
+        vs::EngineConfig cut = vt::audited_config(50, 5, 2, /*max_slots=*/37);
+        cut.event_driven = event_driven;
+        const auto cut_sim = vs::Simulation::from_chains(pf, chains, cut, 43);
+        const auto m = expect_up_slots_match(cut_sim, "emct", core + " cut");
+        EXPECT_FALSE(m.completed) << core;
+        EXPECT_EQ(m.makespan, 37) << core;
+
+        // A realization that starts with every worker absent (the event
+        // core's slot-0 skip), then alternates UP with absences.
+        volsched::trace::RecordedTrace a, b;
+        for (int i = 0; i < 200; ++i) {
+            a.states.push_back(vm::ProcState::Down);
+            b.states.push_back(vm::ProcState::Reclaimed);
+        }
+        for (int round = 0; round < 40; ++round) {
+            for (int i = 0; i < 30; ++i) a.states.push_back(vm::ProcState::Up);
+            for (int i = 0; i < 7; ++i)
+                a.states.push_back(vm::ProcState::Reclaimed);
+            for (int i = 0; i < 19; ++i) b.states.push_back(vm::ProcState::Up);
+            for (int i = 0; i < 5; ++i) b.states.push_back(vm::ProcState::Down);
+        }
+        const auto dead_pf = vs::Platform::homogeneous(
+            2, /*w_all=*/6, /*ncom=*/1, /*t_prog=*/3, /*t_data=*/2);
+        const auto dead_sim = vs::Simulation::builder()
+                                  .platform(dead_pf)
+                                  .replay({a, b})
+                                  .iterations(2)
+                                  .tasks_per_iteration(3)
+                                  .audit(true)
+                                  .event_driven(event_driven)
+                                  .seed(11)
+                                  .build();
+        const auto dead = expect_up_slots_match(dead_sim, "mct", core + " dead");
+        EXPECT_TRUE(dead.completed) << core;
+        if (event_driven) {
+            EXPECT_GE(dead.dead_slots_skipped, 200) << core;
         }
     }
 }
