@@ -3,11 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <exception>
-#include <fstream>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -15,24 +11,20 @@
 #include <string_view>
 #include <thread>
 
-#include "api/registry.hpp"
-#include "ckpt/registry.hpp"
+#include "exp/grid_exec.hpp"
 #include "exp/index_sink.hpp"
 #include "exp/status.hpp"
 #include "obs/registry.hpp"
 #include "obs/stopwatch.hpp"
 #include "util/atomic_io.hpp"
 #include "util/json.hpp"
-#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace volsched::exp {
 
 namespace {
 
-[[noreturn]] void fail(const std::string& what) {
-    throw std::runtime_error("campaign: " + what);
-}
+using detail::fail;
 
 /// Minimum wall-clock between steady-state heartbeat writes (checkpoint
 /// and completion writes are unconditional).
@@ -71,15 +63,6 @@ std::string join_ints(const std::vector<int>& xs) {
         out += std::to_string(xs[i]);
     }
     return out;
-}
-
-/// Whether the sweep actually exercises the checkpoint layer.  The default
-/// single-"none" axis is the classic grid: it is excluded from the
-/// fingerprint and the header so pre-checkpoint campaign files stay valid
-/// (and resumable) under the current code.
-bool has_checkpoint_axis(const SweepConfig& cfg) {
-    return cfg.checkpoint_values.size() != 1 ||
-           cfg.checkpoint_values.front() != "none";
 }
 
 /// The canonical result-determining description (no shard, no threads).
@@ -125,125 +108,12 @@ std::string json_int_array(const std::vector<int>& xs) {
     return "[" + join_ints(xs) + "]";
 }
 
-/// Streams one shard's records straight off its JSONL file, one line at a
-/// time — O(1) record memory for both the k-way merge and the resume
-/// replay.  The header is parsed (and fingerprint-verified) on open; byte
-/// offsets of the record lines are tracked for index rebuilding.
-class ShardStream {
-public:
-    explicit ShardStream(const std::filesystem::path& file)
-        : path_(file), in_(file) {
-        if (!in_)
-            fail("cannot open '" + file.string() + "'");
-        std::string line;
-        if (!std::getline(in_, line))
-            fail("'" + path_.string() + "' is empty");
-        offset_ = line.size() + 1;
-        header_ = parse_campaign_header(line);
-    }
-
-    [[nodiscard]] const CampaignHeader& header() const noexcept {
-        return header_;
-    }
-    [[nodiscard]] const std::filesystem::path& path() const noexcept {
-        return path_;
-    }
-    /// Byte offset of the line the most recent next() returned.
-    [[nodiscard]] std::uint64_t record_offset() const noexcept {
-        return record_offset_;
-    }
-
-    /// Next record, or std::nullopt at end of stream.
-    std::optional<InstanceRecord> next() {
-        std::string line;
-        while (std::getline(in_, line)) {
-            const std::uint64_t at = offset_;
-            offset_ += line.size() + 1;
-            if (line.empty()) continue;
-            try {
-                InstanceRecord rec = JsonlSink::parse_record(line);
-                record_offset_ = at;
-                return rec;
-            } catch (const std::invalid_argument& e) {
-                fail("'" + path_.string() + "' holds a malformed record (" +
-                     e.what() +
-                     "); was the shard killed without a checkpoint? resume "
-                     "it to self-heal, or delete the torn tail");
-            }
-        }
-        return std::nullopt;
-    }
-
-private:
-    std::filesystem::path path_;
-    std::ifstream in_;
-    CampaignHeader header_;
-    std::uint64_t offset_ = 0;
-    std::uint64_t record_offset_ = 0;
-};
-
-/// The resume replay: walks the already-checkpointed prefix of the shard's
-/// grid jobs, pulling each job's trials off the (already truncated) JSONL
-/// stream one line at a time and reducing through the canonical
-/// merge_job_tables order — never holding more than one record in memory.
-/// Every record's byte offset feeds the fresh index sidecar as it passes.
-void replay_shard_stream(SweepResult& tables, IndexSink& index,
-                         const std::filesystem::path& jsonl_file,
-                         std::uint64_t fingerprint,
-                         const std::vector<GridJob>& jobs,
-                         long long jobs_done, int trials) {
-    ShardStream stream(jsonl_file);
-    if (stream.header().fingerprint != fingerprint)
-        fail("records.jsonl header disagrees with the manifest");
-    const std::size_t num_heuristics = tables.heuristics.size();
-    for (long long j = 0; j < jobs_done; ++j) {
-        const GridJob& job = jobs[static_cast<std::size_t>(j)];
-        DfbTable local(num_heuristics);
-        for (int t = 0; t < trials; ++t) {
-            auto rec = stream.next();
-            if (!rec)
-                fail("resume: '" + jsonl_file.string() +
-                     "' ran out of records at scenario ordinal " +
-                     std::to_string(job.ordinal) + " trial " +
-                     std::to_string(t) +
-                     " (fewer records than the manifest checkpointed)");
-            if (rec->scenario_ordinal != job.ordinal || rec->trial != t)
-                fail("resume: '" + jsonl_file.string() +
-                     "' yields (ordinal " +
-                     std::to_string(rec->scenario_ordinal) + ", trial " +
-                     std::to_string(rec->trial) + ") where (ordinal " +
-                     std::to_string(job.ordinal) + ", trial " +
-                     std::to_string(t) +
-                     ") was expected (duplicate, missing, or out-of-order "
-                     "record?)");
-            if (rec->scenario.seed != job.scenario.seed)
-                fail("resume: ordinal " + std::to_string(job.ordinal) +
-                     " carries seed " + std::to_string(rec->scenario.seed) +
-                     " but the grid expects " +
-                     std::to_string(job.scenario.seed) +
-                     " (records from a different campaign?)");
-            if (rec->scenario.checkpoint != job.scenario.checkpoint)
-                fail("resume: ordinal " + std::to_string(job.ordinal) +
-                     " carries checkpoint policy '" +
-                     rec->scenario.checkpoint + "' but the grid expects '" +
-                     job.scenario.checkpoint + "'");
-            if (rec->makespans.size() != num_heuristics)
-                fail("resume: ordinal " + std::to_string(job.ordinal) +
-                     " has " + std::to_string(rec->makespans.size()) +
-                     " makespans, expected " +
-                     std::to_string(num_heuristics));
-            index.add(rec->scenario_ordinal, rec->trial,
-                      stream.record_offset());
-            local.add_instance(rec->makespans);
-        }
-        merge_job_tables(tables, job.scenario, local);
-    }
-    if (stream.next())
-        fail("resume: '" + jsonl_file.string() +
-             "' holds more records than the manifest checkpointed");
-}
-
 } // namespace
+
+bool has_checkpoint_axis(const SweepConfig& cfg) {
+    return cfg.checkpoint_values.size() != 1 ||
+           cfg.checkpoint_values.front() != "none";
+}
 
 // ---------------------------------------------------------------------------
 // Shard planner
@@ -476,24 +346,13 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
         throw std::invalid_argument("campaign: no output directory");
     if (cfg.checkpoint_jobs < 1)
         throw std::invalid_argument("campaign: checkpoint_jobs must be >= 1");
-    if (cfg.pipeline_window < 0)
-        throw std::invalid_argument(
-            "campaign: pipeline_window must be >= 0");
-    if (cfg.heuristics.empty())
-        throw std::invalid_argument("campaign: no heuristics");
-    for (const auto& name : cfg.heuristics)
-        api::SchedulerRegistry::instance().validate(name);
-    if (cfg.sweep.checkpoint_values.empty())
-        throw std::invalid_argument("campaign: empty checkpoint axis");
-    for (const auto& spec : cfg.sweep.checkpoint_values)
-        ckpt::CheckpointRegistry::instance().validate(spec);
+    detail::check_grid_args(cfg.sweep, cfg.heuristics);
 
     const std::vector<GridJob> jobs =
         shard_jobs(cfg.sweep, cfg.shard_index, cfg.shard_count);
     const std::uint64_t fingerprint =
         campaign_fingerprint(cfg.sweep, cfg.heuristics);
     const int trials = cfg.sweep.trials_per_scenario;
-    const std::size_t num_heuristics = cfg.heuristics.size();
 
     std::filesystem::create_directories(cfg.directory);
     const auto jsonl_file = cfg.directory / "records.jsonl";
@@ -548,12 +407,19 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
         // The resume contract: truncate each sink to the last durable
         // checkpoint, then rebuild the shard-local tables by replaying the
         // surviving records — streamed one line at a time — through the
-        // canonical reduction.
+        // canonical reduction, refilling the index sidecar as they pass.
         jsonl.resume_at(previous->jsonl_bytes);
         if (csv) csv->resume_at(previous->csv_bytes);
         jobs_done = previous->jobs_done;
-        replay_shard_stream(result.tables, index, jsonl_file, fingerprint,
-                            jobs, jobs_done, trials);
+        detail::ShardStream replay(jsonl_file);
+        if (replay.header().fingerprint != fingerprint)
+            fail("records.jsonl header disagrees with the manifest");
+        for (long long j = 0; j < jobs_done; ++j)
+            replay.reduce_job(jobs[static_cast<std::size_t>(j)], trials,
+                              result.tables, "resume", &index);
+        if (replay.next())
+            fail("resume: '" + jsonl_file.string() +
+                 "' holds more records than the manifest checkpointed");
         index.flush(previous->jsonl_bytes);
     }
 
@@ -574,15 +440,14 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
     // Observability (all observer-only; outputs are byte-identical with or
     // without it): pipeline occupancy gauges and stage wall-time histograms
     // into the process registry when a driver installed one, plus the
-    // per-shard status.json heartbeat.  Gauges move by deltas because
-    // parallel shards share them.
+    // per-shard status.json heartbeat.
     obs::Registry* const reg = obs::Registry::active();
-    obs::Gauge* const g_queue =
-        reg ? &reg->gauge("campaign.queue_depth") : nullptr;
-    obs::Gauge* const g_lag =
-        reg ? &reg->gauge("campaign.emitter_lag") : nullptr;
-    obs::Gauge* const g_window =
-        reg ? &reg->gauge("campaign.window") : nullptr;
+    detail::PipelineOccupancy occupancy;
+    if (reg) {
+        occupancy.queue_gauge = &reg->gauge("campaign.queue_depth");
+        occupancy.lag_gauge = &reg->gauge("campaign.emitter_lag");
+        occupancy.window_gauge = &reg->gauge("campaign.window");
+    }
     obs::Histogram* const h_run =
         reg ? &reg->histogram("campaign.run_us") : nullptr;
     obs::Histogram* const h_serialize =
@@ -599,11 +464,11 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
         local.observe(us);
         if (global) global->observe(us);
     };
-    // Heartbeat pipeline-occupancy shadows (atomics: workers bump the
-    // queue, the driver reads them when writing the heartbeat).
-    std::atomic<long long> hb_queue{0};
-    std::atomic<long long> hb_lag{0};
-    long long hb_window = 0;
+
+    // The pipeline's run-ahead bound: at least one checkpoint batch, and
+    // enough to keep every worker busy while the emitter writes.
+    const long long window = std::max<long long>(
+        cfg.checkpoint_jobs, 2 * static_cast<long long>(pool.size()));
     std::int64_t last_heartbeat_ms = 0; // driver thread only
     const auto stage_stats = [](const obs::Histogram& h) {
         return StageStats{h.count(), h.sum(), h.max()};
@@ -616,9 +481,9 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
         s.jobs_done = jobs_done;
         s.jobs_total = jobs_total;
         s.instances_done = instances_done.load();
-        s.queue_depth = hb_queue.load();
-        s.emitter_lag = hb_lag.load();
-        s.window = hb_window;
+        s.queue_depth = occupancy.queue_depth.load();
+        s.emitter_lag = occupancy.emitter_lag.load();
+        s.window = window;
         s.state = state;
         s.run = stage_stats(stage_run);
         s.serialize = stage_stats(stage_serialize);
@@ -632,55 +497,6 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
         write_heartbeat("running");
     };
     write_heartbeat("running");
-
-    // Per-job compute, shared verbatim by both execution modes; runs on
-    // worker threads, touches no sink.
-    struct JobOutcome {
-        DfbTable local;
-        std::vector<InstanceRecord> records;
-    };
-    auto compute_job = [&](const GridJob& job) {
-        const std::int64_t start_us = timed ? obs::now_us() : 0;
-        JobOutcome out{DfbTable(num_heuristics), {}};
-        const RealizedScenario rs = realize(job.scenario);
-        out.records.reserve(static_cast<std::size_t>(trials));
-        for (int trial = 0; trial < trials; ++trial) {
-            const std::uint64_t trial_seed = util::mix_seed(
-                cfg.sweep.master_seed, 0x54524cULL, job.seed_ordinal,
-                static_cast<std::uint64_t>(trial));
-            auto outcome =
-                run_instance(rs, job.scenario.tasks, cfg.heuristics,
-                             cfg.sweep.run, trial_seed,
-                             job.scenario.checkpoint);
-            out.local.add_instance(outcome.makespans);
-            InstanceRecord rec;
-            rec.scenario_ordinal = job.ordinal;
-            rec.trial = trial;
-            rec.scenario = job.scenario;
-            rec.makespans = std::move(outcome.makespans);
-            out.records.push_back(std::move(rec));
-            const long long done = ++instances_done;
-            if (cfg.sweep.progress)
-                cfg.sweep.progress(done, shard_instances_total);
-        }
-        stage_sample(stage_run, h_run, start_us);
-        return out;
-    };
-
-    // Deterministic emission: records leave in (ordinal, trial) order
-    // regardless of which worker finished first.  Only ever called from
-    // the driver thread — the single writer every ResultSink expects.
-    auto emit_job = [&](const GridJob& job, JobOutcome& out) {
-        const std::int64_t start_us = timed ? obs::now_us() : 0;
-        for (const InstanceRecord& rec : out.records) {
-            index.add(rec.scenario_ordinal, rec.trial, jsonl.offset());
-            jsonl.write(rec);
-            if (csv) csv->write(rec);
-            if (cfg.sweep.record) cfg.sweep.record(rec);
-        }
-        merge_job_tables(result.tables, job.scenario, out.local);
-        stage_sample(stage_serialize, h_serialize, start_us);
-    };
 
     // Durable checkpoint: sink bytes hit the disk before the manifest
     // vouches for them.
@@ -699,13 +515,6 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
         write_heartbeat("running");
     };
 
-    // The completion pipeline.  Workers pull jobs from a shared cursor
-    // (`next_submit`, advanced under `mu` as the emitter frees window slots)
-    // and deposit finished JobOutcomes keyed by job position; this driver
-    // thread is the emitter, draining deposits strictly in job order — so
-    // simulation overlaps sink I/O, a checkpoint's fsync stalls nobody, and
-    // a straggler delays only emission, not the pool.  The window caps
-    // finished-but-unemitted + in-flight jobs, bounding peak record memory.
     const long long first_job = jobs_done;
     long long end_jobs = jobs_total;
     if (cfg.stop_after_batches > 0)
@@ -713,95 +522,36 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
             end_jobs, first_job + static_cast<long long>(
                                       cfg.stop_after_batches) *
                                       cfg.checkpoint_jobs);
-    const long long window =
-        cfg.pipeline_window > 0
-            ? cfg.pipeline_window
-            : std::max<long long>(cfg.checkpoint_jobs,
-                                  2 * static_cast<long long>(pool.size()));
-    hb_window = window;
-    if (g_window) g_window->add(window);
-
-    std::mutex mu;
-    std::condition_variable cv;
-    std::map<long long, JobOutcome> ready;
-    std::exception_ptr first_error;
-    long long in_flight = 0;
-    long long next_submit = jobs_done;
-
-    // Caller holds `mu`.  Tasks capture this stack frame by reference,
-    // which is why every exit path below drains `in_flight` to zero
-    // before unwinding.
-    auto submit_upto_window = [&](long long emitted) {
-        while (next_submit < end_jobs && !first_error &&
-               next_submit - emitted < window) {
-            const long long j = next_submit++;
-            ++in_flight;
-            hb_lag.fetch_add(1, std::memory_order_relaxed);
-            if (g_lag) g_lag->add(1);
-            pool.submit([&, j] {
-                // notify_all happens *under* `mu`: the driver destroys
-                // `cv` (by unwinding this stack frame) the moment it
-                // observes in_flight == 0, and it cannot observe that
-                // until the lock is released — after the notify call
-                // has fully returned.
-                try {
-                    JobOutcome out =
-                        compute_job(jobs[static_cast<std::size_t>(j)]);
-                    std::lock_guard lock(mu);
-                    ready.emplace(j, std::move(out));
-                    --in_flight;
-                    hb_queue.fetch_add(1, std::memory_order_relaxed);
-                    if (g_queue) g_queue->add(1);
-                    cv.notify_all();
-                } catch (...) {
-                    std::lock_guard lock(mu);
-                    if (!first_error)
-                        first_error = std::current_exception();
-                    --in_flight;
-                    cv.notify_all();
-                }
-            });
-        }
-    };
-
-    try {
-        {
-            std::unique_lock lock(mu);
-            submit_upto_window(jobs_done);
-        }
-        while (jobs_done < end_jobs) {
-            std::optional<JobOutcome> out;
-            {
-                std::unique_lock lock(mu);
-                cv.wait(lock, [&] {
-                    return first_error || ready.contains(jobs_done);
-                });
-                if (first_error) break;
-                auto node = ready.extract(jobs_done);
-                out.emplace(std::move(node.mapped()));
-                hb_queue.fetch_add(-1, std::memory_order_relaxed);
-                if (g_queue) g_queue->add(-1);
-                submit_upto_window(jobs_done + 1);
+    detail::run_pipeline(
+        pool, first_job, end_jobs, window,
+        [&](long long j) { // worker threads; touches no sink
+            const std::int64_t start_us = timed ? obs::now_us() : 0;
+            detail::JobOutcome out = detail::run_grid_job(
+                cfg.sweep, cfg.heuristics, jobs[static_cast<std::size_t>(j)],
+                true, instances_done, shard_instances_total);
+            stage_sample(stage_run, h_run, start_us);
+            return out;
+        },
+        [&](long long j, detail::JobOutcome& out) {
+            // The driver thread: the single writer every ResultSink expects.
+            const std::int64_t start_us = timed ? obs::now_us() : 0;
+            for (const InstanceRecord& rec : out.records) {
+                index.add(rec.scenario_ordinal, rec.trial, jsonl.offset());
+                jsonl.write(rec);
+                if (csv) csv->write(rec);
+                if (cfg.sweep.record) cfg.sweep.record(rec);
             }
-            emit_job(jobs[static_cast<std::size_t>(jobs_done)], *out);
-            hb_lag.fetch_add(-1, std::memory_order_relaxed);
-            if (g_lag) g_lag->add(-1);
+            merge_job_tables(result.tables,
+                             jobs[static_cast<std::size_t>(j)].scenario,
+                             out.local);
+            stage_sample(stage_serialize, h_serialize, start_us);
             ++jobs_done;
             if ((jobs_done - first_job) % cfg.checkpoint_jobs == 0 ||
                 jobs_done == jobs_total)
                 checkpoint(jobs_done);
             heartbeat_tick();
-        }
-    } catch (...) {
-        std::lock_guard lock(mu);
-        if (!first_error) first_error = std::current_exception();
-    }
-    {
-        std::unique_lock lock(mu);
-        cv.wait(lock, [&] { return in_flight == 0; });
-        if (g_window) g_window->add(-window);
-        if (first_error) std::rethrow_exception(first_error);
-    }
+        },
+        &occupancy);
 
     write_heartbeat(jobs_done == jobs_total ? "done" : "stopped");
     result.jobs_done = jobs_done;
@@ -896,40 +646,8 @@ ParallelCampaignResult run_parallel_campaign(const CampaignConfig& base) {
 
 SweepResult
 merge_shards(const std::vector<std::filesystem::path>& jsonl_files) {
-    if (jsonl_files.empty()) fail("merge: no shard files");
-
-    // Open every shard and cross-validate the headers up front.
-    std::vector<std::unique_ptr<ShardStream>> streams;
-    streams.reserve(jsonl_files.size());
-    for (const auto& file : jsonl_files) {
-        auto stream = std::make_unique<ShardStream>(file);
-        if (!streams.empty()) {
-            const CampaignHeader& ref = streams.front()->header();
-            if (stream->header().fingerprint != ref.fingerprint)
-                fail("merge: '" + file.string() +
-                     "' belongs to a different campaign (fingerprint "
-                     "mismatch)");
-            if (stream->header().shard_count != ref.shard_count)
-                fail("merge: '" + file.string() +
-                     "' disagrees on the shard count");
-        }
-        streams.push_back(std::move(stream));
-    }
-    const CampaignHeader& ref = streams.front()->header();
-    std::vector<ShardStream*> by_shard(
-        static_cast<std::size_t>(ref.shard_count), nullptr);
-    for (const auto& stream : streams) {
-        const int k = stream->header().shard_index;
-        const auto slot = static_cast<std::size_t>(k - 1);
-        if (k < 1 || k > ref.shard_count || by_shard[slot])
-            fail("merge: shard " + std::to_string(k) +
-                 " appears twice or is out of range");
-        by_shard[slot] = stream.get();
-    }
-    for (std::size_t k = 0; k < by_shard.size(); ++k)
-        if (!by_shard[k])
-            fail("merge: shard " + std::to_string(k + 1) + " of " +
-                 std::to_string(by_shard.size()) + " is missing");
+    std::vector<detail::ShardStream> shards =
+        detail::open_shard_set(jsonl_files, "campaign: merge");
 
     // Streaming k-way merge.  The grid enumeration *is* the merged order:
     // shard k-of-N holds exactly the ordinals congruent to k-1 mod N, each
@@ -940,53 +658,16 @@ merge_shards(const std::vector<std::filesystem::path>& jsonl_files) {
     // operation sequence, and therefore every digit, bit-identical to the
     // unsharded sweep.  Peak memory is O(shards + grid jobs), never
     // O(records).
-    const std::vector<GridJob> grid = grid_jobs(ref.sweep);
-    const int trials = ref.sweep.trials_per_scenario;
-    const std::size_t num_heuristics = ref.heuristics.size();
+    const CampaignHeader& ref = shards.front().header();
     SweepResult result(ref.heuristics);
-    for (const GridJob& job : grid) {
-        ShardStream& shard = *by_shard[static_cast<std::size_t>(
-            job.ordinal % static_cast<std::uint64_t>(ref.shard_count))];
-        DfbTable local(num_heuristics);
-        for (int t = 0; t < trials; ++t) {
-            auto rec = shard.next();
-            if (!rec)
-                fail("merge: '" + shard.path().string() +
-                     "' ran out of records at scenario ordinal " +
-                     std::to_string(job.ordinal) + " trial " +
-                     std::to_string(t) + " (incomplete shard?)");
-            if (rec->scenario_ordinal != job.ordinal || rec->trial != t)
-                fail("merge: '" + shard.path().string() +
-                     "' yields (ordinal " +
-                     std::to_string(rec->scenario_ordinal) + ", trial " +
-                     std::to_string(rec->trial) + ") where (ordinal " +
-                     std::to_string(job.ordinal) + ", trial " +
-                     std::to_string(t) +
-                     ") was expected (duplicate, missing, or out-of-order "
-                     "record?)");
-            if (rec->scenario.seed != job.scenario.seed)
-                fail("merge: ordinal " + std::to_string(job.ordinal) +
-                     " carries seed " + std::to_string(rec->scenario.seed) +
-                     " but the grid expects " +
-                     std::to_string(job.scenario.seed) +
-                     " (records from a different campaign?)");
-            if (rec->scenario.checkpoint != job.scenario.checkpoint)
-                fail("merge: ordinal " + std::to_string(job.ordinal) +
-                     " carries checkpoint policy '" +
-                     rec->scenario.checkpoint + "' but the grid expects '" +
-                     job.scenario.checkpoint + "'");
-            if (rec->makespans.size() != num_heuristics)
-                fail("merge: ordinal " + std::to_string(job.ordinal) +
-                     " has " + std::to_string(rec->makespans.size()) +
-                     " makespans, expected " +
-                     std::to_string(num_heuristics));
-            local.add_instance(rec->makespans);
-        }
-        merge_job_tables(result, job.scenario, local);
-    }
-    for (const auto& stream : streams)
-        if (stream->next())
-            fail("merge: '" + stream->path().string() +
+    for (const GridJob& job : grid_jobs(ref.sweep))
+        shards[static_cast<std::size_t>(
+                   job.ordinal % static_cast<std::uint64_t>(ref.shard_count))]
+            .reduce_job(job, ref.sweep.trials_per_scenario, result, "merge",
+                        nullptr);
+    for (auto& shard : shards)
+        if (shard.next())
+            fail("merge: '" + shard.path().string() +
                  "' holds records past the end of its shard of the grid "
                  "(duplicate shard or foreign file?)");
     return result;

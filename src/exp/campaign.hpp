@@ -16,10 +16,11 @@
 ///     grid cells balanced), so the union of shard outputs is exactly the
 ///     unsharded instance set.
 ///
-///  2. *Deterministic emission.*  Jobs run on a thread pool, but a single
-///     emitter — the only thread that touches the sinks — writes records
-///     strictly in (ordinal, trial) order, so a shard's JSONL file is
-///     byte-identical across runs, thread counts, and pipeline windows.
+///  2. *Deterministic emission.*  Jobs run on a thread pool through the
+///     completion pipeline run_sweep also drains through, but a single
+///     emitter — the only thread that touches the sinks and the record
+///     hook — writes records strictly in (ordinal, trial) order, so a
+///     shard's JSONL file is byte-identical across runs and thread counts.
 ///
 ///  3. *Canonical aggregation.*  The merge step replays records through the
 ///     exact reduction run_sweep performs (per-job DfbTable built in trial
@@ -68,16 +69,6 @@ struct CampaignConfig {
     /// Stop after this many checkpoint batches (0: run to completion).
     /// Supports time-sliced operation and the kill/resume tests.
     int stop_after_batches = 0;
-    /// Run-ahead bound of the completion pipeline.  Workers pull jobs from
-    /// a shared cursor and run ahead past checkpoint boundaries while the
-    /// driver thread — the dedicated emitter — drains finished jobs
-    /// strictly in (ordinal, trial) order through the sinks, so stragglers
-    /// stall neither the pool nor the I/O overlap.  The bound counts jobs
-    /// in flight or finished-but-unemitted (i.e. peak buffered records is
-    /// pipeline_window x trials).  0 picks max(checkpoint_jobs, 2 x pool
-    /// size); 1 is lock-step submit/emit.  Outputs are byte-identical for
-    /// every window.
-    int pipeline_window = 0;
     /// Optional externally owned worker pool, shared between the in-process
     /// shard drivers of run_parallel_campaign; null makes the campaign
     /// create its own.
@@ -102,6 +93,12 @@ struct CampaignResult {
     explicit CampaignResult(std::vector<std::string> names)
         : tables(std::move(names)) {}
 };
+
+/// Whether the sweep exercises the checkpoint layer.  The default
+/// single-"none" axis is the classic grid: it is left out of the
+/// fingerprint, the header and the CSV columns, so pre-checkpoint campaign
+/// files stay valid (and resumable) under the current code.
+bool has_checkpoint_axis(const SweepConfig& cfg);
 
 /// The deterministic shard planner: jobs of the full grid whose ordinal is
 /// congruent to shard_index-1 modulo shard_count.  Throws
@@ -154,8 +151,11 @@ void write_manifest(const std::filesystem::path& dir,
 std::optional<CampaignManifest>
 read_manifest(const std::filesystem::path& dir);
 
-/// Runs (or resumes) one shard of the campaign.  Returns after the shard
-/// completes or after `stop_after_batches` checkpoints.  Throws
+/// Runs (or resumes) one shard of the campaign.  Workers run ahead past
+/// checkpoint boundaries, up to max(checkpoint_jobs, 2 x pool size) jobs
+/// in flight or finished-but-unemitted, while the calling thread emits.
+/// Returns after the shard completes or after `stop_after_batches`
+/// checkpoints.  Throws
 /// std::runtime_error when an existing manifest does not match the
 /// configuration (fingerprint or shard position).
 CampaignResult run_campaign(const CampaignConfig& cfg);
@@ -177,7 +177,8 @@ struct ParallelCampaignResult {
 /// are byte-identical to N separate single-shard processes.  Progress is
 /// aggregated across shards before reaching base.sweep.progress; the
 /// base.sweep.record hook, if any, is serialized across the shard emitters
-/// (records arrive shard-interleaved, each shard in order).  The first
+/// (records arrive shard-interleaved, each shard in (ordinal, trial)
+/// order).  The first
 /// shard failure (by shard index) is rethrown after all drivers stop.
 ParallelCampaignResult run_parallel_campaign(const CampaignConfig& base);
 

@@ -12,6 +12,7 @@
 #endif
 
 #include "exp/campaign.hpp"
+#include "exp/grid_exec.hpp"
 #include "exp/sweep.hpp"
 #include "util/atomic_io.hpp"
 
@@ -184,27 +185,11 @@ read_index(const std::filesystem::path& path, std::uint64_t fingerprint,
 
 std::vector<IndexEntry>
 build_index_entries(const std::filesystem::path& jsonl_file) {
-    std::ifstream in(jsonl_file);
-    if (!in) fail("cannot open '" + jsonl_file.string() + "'");
-    std::string line;
-    if (!std::getline(in, line))
-        fail("'" + jsonl_file.string() + "' is empty");
-    std::uint64_t offset = line.size() + 1; // header line + newline
+    detail::ShardStream stream(jsonl_file);
     std::vector<IndexEntry> entries;
-    while (std::getline(in, line)) {
-        const std::uint64_t line_offset = offset;
-        offset += line.size() + 1;
-        if (line.empty()) continue;
-        InstanceRecord rec;
-        try {
-            rec = JsonlSink::parse_record(line);
-        } catch (const std::invalid_argument& e) {
-            fail("'" + jsonl_file.string() + "' holds a malformed record (" +
-                 e.what() + "); was the shard killed without a checkpoint? "
-                 "resume it to self-heal, or delete the torn tail");
-        }
-        entries.push_back({rec.scenario_ordinal, rec.trial, line_offset});
-    }
+    while (const auto rec = stream.next())
+        entries.push_back(
+            {rec->scenario_ordinal, rec->trial, stream.record_offset()});
     return entries;
 }
 
@@ -218,25 +203,17 @@ void write_index_file(const std::filesystem::path& path,
     util::write_file_atomic(path, out);
 }
 
+namespace {
+
+/// load_or_rebuild_index for a shard whose header the caller already
+/// parsed.
 std::vector<IndexEntry>
-load_or_rebuild_index(const std::filesystem::path& jsonl_file,
-                      bool* rebuilt) {
-    std::ifstream in(jsonl_file);
-    if (!in) fail("cannot open '" + jsonl_file.string() + "'");
-    std::string header_line;
-    if (!std::getline(in, header_line))
-        fail("'" + jsonl_file.string() + "' is empty");
-    CampaignHeader header;
-    try {
-        header = parse_campaign_header(header_line);
-    } catch (const std::invalid_argument& e) {
-        fail("'" + jsonl_file.string() + "': " + e.what());
-    }
-    in.close();
+load_or_rebuild_for(const std::filesystem::path& jsonl_file,
+                    std::uint64_t fingerprint, bool* rebuilt) {
     const auto jsonl_bytes =
         static_cast<std::uint64_t>(std::filesystem::file_size(jsonl_file));
     const auto sidecar = index_path(jsonl_file);
-    if (auto entries = read_index(sidecar, header.fingerprint, jsonl_bytes)) {
+    if (auto entries = read_index(sidecar, fingerprint, jsonl_bytes)) {
         if (rebuilt) *rebuilt = false;
         return std::move(*entries);
     }
@@ -245,9 +222,19 @@ load_or_rebuild_index(const std::filesystem::path& jsonl_file,
         fail("'" + jsonl_file.string() +
              "' records are not in (ordinal, trial) order; not a campaign "
              "shard stream");
-    write_index_file(sidecar, header.fingerprint, jsonl_bytes, entries);
+    write_index_file(sidecar, fingerprint, jsonl_bytes, entries);
     if (rebuilt) *rebuilt = true;
     return entries;
+}
+
+} // namespace
+
+std::vector<IndexEntry>
+load_or_rebuild_index(const std::filesystem::path& jsonl_file,
+                      bool* rebuilt) {
+    return load_or_rebuild_for(
+        jsonl_file, detail::ShardStream(jsonl_file).header().fingerprint,
+        rebuilt);
 }
 
 // ---------------------------------------------------------------------------
@@ -268,90 +255,49 @@ bool job_matches(const GridJob& job, const QueryFilter& f) {
            in_range(job.scenario.ncom, f.ncom);
 }
 
-/// One shard's read state: validated header, (loaded or rebuilt) index, and
-/// an open stream to seek record lines out of.
-struct ShardIndex {
-    std::filesystem::path path;
-    CampaignHeader header;
-    std::vector<IndexEntry> entries;
-    std::ifstream in;
-};
-
 } // namespace
 
 QueryStats
 query_shards(const std::vector<std::filesystem::path>& jsonl_files,
              const QueryFilter& filter,
              const std::function<void(const std::string& line)>& emit) {
-    if (jsonl_files.empty()) fail("query: no shard files");
-
     QueryStats stats;
-    std::vector<std::unique_ptr<ShardIndex>> shards;
-    shards.reserve(jsonl_files.size());
-    for (const auto& file : jsonl_files) {
-        auto shard = std::make_unique<ShardIndex>();
-        shard->path = file;
+    std::vector<detail::ShardStream> shards =
+        detail::open_shard_set(jsonl_files, "index: query");
+    std::vector<std::vector<IndexEntry>> entries;
+    entries.reserve(shards.size());
+    for (const detail::ShardStream& shard : shards) {
         bool rebuilt = false;
-        shard->entries = load_or_rebuild_index(file, &rebuilt);
+        entries.push_back(load_or_rebuild_for(
+            shard.path(), shard.header().fingerprint, &rebuilt));
         if (rebuilt) ++stats.indexes_rebuilt;
-        shard->in.open(file);
-        if (!shard->in) fail("cannot open '" + file.string() + "'");
-        std::string header_line;
-        std::getline(shard->in, header_line);
-        shard->header = parse_campaign_header(header_line);
-        if (!shards.empty()) {
-            const CampaignHeader& ref = shards.front()->header;
-            if (shard->header.fingerprint != ref.fingerprint)
-                fail("query: '" + file.string() +
-                     "' belongs to a different campaign (fingerprint "
-                     "mismatch)");
-            if (shard->header.shard_count != ref.shard_count)
-                fail("query: '" + file.string() +
-                     "' disagrees on the shard count");
-        }
-        shards.push_back(std::move(shard));
     }
-    const CampaignHeader& ref = shards.front()->header;
-    std::vector<ShardIndex*> by_shard(
-        static_cast<std::size_t>(ref.shard_count), nullptr);
-    for (const auto& shard : shards) {
-        const int k = shard->header.shard_index;
-        const auto slot = static_cast<std::size_t>(k - 1);
-        if (k < 1 || k > ref.shard_count || by_shard[slot])
-            fail("query: shard " + std::to_string(k) +
-                 " appears twice or is out of range");
-        by_shard[slot] = shard.get();
-    }
-    for (std::size_t k = 0; k < by_shard.size(); ++k)
-        if (!by_shard[k])
-            fail("query: shard " + std::to_string(k + 1) + " of " +
-                 std::to_string(by_shard.size()) + " is missing");
 
     // Walk the grid in global (ordinal, trial) order — the unsharded
     // emission order — filtering on grid axes without touching records,
     // then seek only the matching lines.  Jobs not yet durable in a
     // still-running campaign simply have no index entries and are skipped.
-    const std::vector<GridJob> grid = grid_jobs(ref.sweep);
+    const CampaignHeader& ref = shards.front().header();
     std::string line;
-    for (const GridJob& job : grid) {
+    for (const GridJob& job : grid_jobs(ref.sweep)) {
         if (!job_matches(job, filter)) continue;
-        ShardIndex& shard = *by_shard[static_cast<std::size_t>(
-            job.ordinal % static_cast<std::uint64_t>(ref.shard_count))];
+        const auto k = static_cast<std::size_t>(
+            job.ordinal % static_cast<std::uint64_t>(ref.shard_count));
+        detail::ShardStream& shard = shards[k];
+        const std::vector<IndexEntry>& index = entries[k];
         const auto lo = std::lower_bound(
-            shard.entries.begin(), shard.entries.end(), job.ordinal,
+            index.begin(), index.end(), job.ordinal,
             [](const IndexEntry& e, std::uint64_t ord) {
                 return e.ordinal < ord;
             });
         const auto hi = std::upper_bound(
-            lo, shard.entries.end(), job.ordinal,
+            lo, index.end(), job.ordinal,
             [](std::uint64_t ord, const IndexEntry& e) {
                 return ord < e.ordinal;
             });
         for (auto it = lo; it != hi; ++it) {
-            shard.in.clear();
-            shard.in.seekg(static_cast<std::streamoff>(it->offset));
-            if (!std::getline(shard.in, line))
-                fail("query: '" + shard.path.string() +
+            if (!shard.read_line_at(it->offset, line))
+                fail("query: '" + shard.path().string() +
                      "' is shorter than its index (stale sidecar?)");
             emit(line);
             ++stats.matched;

@@ -1,9 +1,8 @@
 #include "exp/sweep.hpp"
 
 #include <atomic>
-#include <mutex>
 
-#include "api/registry.hpp"
+#include "exp/grid_exec.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -46,53 +45,31 @@ std::vector<GridJob> grid_jobs(const SweepConfig& cfg) {
 
 SweepResult run_sweep(const SweepConfig& cfg,
                       const std::vector<std::string>& heuristics) {
-    // Resolve every spec once up front: a typo fails here with the
-    // registry's did-you-mean message instead of throwing mid-sweep on a
-    // worker thread.
-    for (const auto& name : heuristics)
-        api::SchedulerRegistry::instance().validate(name);
-
+    detail::check_grid_args(cfg, heuristics);
     SweepResult result(heuristics);
-
     const std::vector<GridJob> jobs = grid_jobs(cfg);
+    const long long jobs_total = static_cast<long long>(jobs.size());
+    std::atomic<long long> instances_done{0};
 
-    const long long total_instances =
-        static_cast<long long>(jobs.size()) * cfg.trials_per_scenario;
-    std::atomic<long long> completed{0};
-
-    // Per-job local tables, merged sequentially afterwards so the result is
-    // bit-identical regardless of thread interleaving.
-    std::vector<DfbTable> local(jobs.size(), DfbTable(heuristics.size()));
-
+    // The whole grid is the window: a job's outcome is one small table
+    // (plus its records only when a hook is set), and any tighter bound
+    // idles the pool behind each slow job at the head of the order.
     util::ThreadPool pool(cfg.threads);
-    std::mutex record_mutex;
-    pool.parallel_for(jobs.size(), [&](std::size_t j) {
-        const GridJob& job = jobs[j];
-        const RealizedScenario rs = realize(job.scenario);
-        for (int trial = 0; trial < cfg.trials_per_scenario; ++trial) {
-            const std::uint64_t trial_seed =
-                util::mix_seed(cfg.master_seed, 0x54524cULL, job.seed_ordinal,
-                               static_cast<std::uint64_t>(trial));
-            const auto outcome =
-                run_instance(rs, job.scenario.tasks, heuristics, cfg.run,
-                             trial_seed, job.scenario.checkpoint);
-            local[j].add_instance(outcome.makespans);
-            if (cfg.record) {
-                InstanceRecord rec;
-                rec.scenario_ordinal = job.ordinal;
-                rec.trial = trial;
-                rec.scenario = job.scenario;
-                rec.makespans = outcome.makespans;
-                std::lock_guard lock(record_mutex);
-                cfg.record(rec);
-            }
-            const long long done = ++completed;
-            if (cfg.progress) cfg.progress(done, total_instances);
-        }
-    });
-
-    for (std::size_t j = 0; j < jobs.size(); ++j)
-        merge_job_tables(result, jobs[j].scenario, local[j]);
+    detail::run_pipeline(
+        pool, 0, jobs_total, jobs_total,
+        [&](long long j) {
+            return detail::run_grid_job(
+                cfg, heuristics, jobs[static_cast<std::size_t>(j)],
+                static_cast<bool>(cfg.record), instances_done,
+                jobs_total * cfg.trials_per_scenario);
+        },
+        [&](long long j, detail::JobOutcome& out) {
+            if (cfg.record)
+                for (const InstanceRecord& rec : out.records) cfg.record(rec);
+            merge_job_tables(result, jobs[static_cast<std::size_t>(j)].scenario,
+                             out.local);
+        },
+        nullptr);
     return result;
 }
 

@@ -2,9 +2,10 @@
 /// \file sweep.hpp
 /// The full experimental campaign driver: Table 1 grid x scenarios x trials,
 /// each instance run under every heuristic, reduced into overall and
-/// per-wmin degradation-from-best tables.  Instances are distributed over a
-/// thread pool; every instance derives its own RNG streams from the master
-/// seed, so results are independent of thread count and scheduling order.
+/// per-wmin degradation-from-best tables.  Jobs run on a thread pool and
+/// drain through the same completion pipeline a campaign uses, in job
+/// order; every instance derives its own RNG streams from the master seed,
+/// so results are independent of thread count and scheduling order.
 
 #include <functional>
 #include <map>
@@ -45,11 +46,11 @@ struct SweepConfig {
     std::function<void(long long, long long)> progress;
     /// Optional raw-result hook, called once per instance with the full
     /// InstanceRecord (scenario, grid ordinal, trial, per-heuristic
-    /// makespans).  Serialized by the driver — run_sweep and each
-    /// campaign's single emitter thread call it from one thread at a time,
-    /// and run_parallel_campaign wraps it in a shared mutex across its
-    /// shard emitters — so implementations need no locking.  Wire a
-    /// ResultSink here to export full distributions:
+    /// makespans).  run_sweep and each campaign call it from their single
+    /// emitter thread, strictly in (ordinal, trial) order, so the sequence
+    /// is the same for every thread count; run_parallel_campaign wraps it
+    /// in a shared mutex across its shard emitters.  Implementations need
+    /// no locking.  Wire a ResultSink here to export full distributions:
     ///   cfg.record = [&](const InstanceRecord& r) { sink.write(r); };
     std::function<void(const InstanceRecord&)> record;
 };
@@ -93,6 +94,8 @@ struct SweepResult {
 };
 
 /// Runs the sweep; deterministic for a fixed config regardless of threads.
+/// Throws std::invalid_argument before any job runs when the heuristic
+/// list is empty, the checkpoint axis is empty, or a spec does not resolve.
 SweepResult run_sweep(const SweepConfig& cfg,
                       const std::vector<std::string>& heuristics);
 

@@ -17,8 +17,9 @@ namespace volsched::util {
 /// Fixed-size pool with a single shared FIFO queue.
 ///
 /// Exceptions thrown by tasks are caught and re-thrown (first one wins) from
-/// wait_idle(), so a failing simulation aborts the sweep deterministically
-/// rather than silently dropping results.
+/// wait_idle(), so a failing task is never silently dropped.  (The exp
+/// completion pipeline catches its own tasks' exceptions and never waits
+/// for the pool to go idle, since shards may share one pool.)
 class ThreadPool {
 public:
     /// `threads == 0` selects hardware_concurrency() (min 1).
@@ -34,9 +35,6 @@ public:
     /// Blocks until the queue drains and all workers are idle, then rethrows
     /// the first task exception if any occurred.
     void wait_idle();
-
-    /// Runs fn(i) for i in [0, n) across the pool and waits for completion.
-    void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
     [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
 

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <functional>
 #include <set>
+#include <string>
 
 #include "api/campaign_builder.hpp"
 #include "api/experiment_builder.hpp"
@@ -427,11 +429,31 @@ TEST(Campaign, MergeDetectsMissingAndDuplicateShards) {
         cfg.shard_count = 2;
         files.push_back(ve::run_campaign(cfg).jsonl_path);
     }
-    EXPECT_THROW(ve::merge_shards({files[0]}), std::runtime_error);
-    EXPECT_THROW(ve::merge_shards({files[0], files[0]}),
-                 std::runtime_error);
-    EXPECT_THROW(ve::merge_shards({}), std::runtime_error);
+    // Shard 2 of a campaign with another master seed: a valid header whose
+    // fingerprint disagrees with shard 1's.
+    auto other = small_campaign(root.path() / "foreign");
+    other.sweep.master_seed ^= 0xBAD;
+    other.shard_index = 2;
+    other.shard_count = 2;
+    const auto foreign = ve::run_campaign(other).jsonl_path;
+
+    // merge and query open shard sets through one reader: both reject a
+    // missing shard, a duplicate (with and without a shard missing), an
+    // empty list and a foreign fingerprint.
+    const std::vector<std::vector<std::filesystem::path>> bad_sets = {
+        {files[0]},
+        {files[0], files[0]},
+        {files[0], files[1], files[0]},
+        {},
+        {files[0], foreign}};
+    for (const auto& set : bad_sets) {
+        EXPECT_THROW(ve::merge_shards(set), std::runtime_error);
+        EXPECT_THROW(ve::query_shards(set, {}, [](const std::string&) {}),
+                     std::runtime_error);
+    }
     EXPECT_NO_THROW(ve::merge_shards(files));
+    EXPECT_NO_THROW(
+        ve::query_shards(files, {}, [](const std::string&) {}));
 
     // An incomplete shard fails the completeness check loudly.
     auto partial = small_campaign(root.path() / "partial");
@@ -441,6 +463,97 @@ TEST(Campaign, MergeDetectsMissingAndDuplicateShards) {
     const auto outcome = ve::run_campaign(partial);
     EXPECT_THROW(ve::merge_shards({outcome.jsonl_path, files[1]}),
                  std::runtime_error);
+}
+
+namespace {
+
+/// Replaces the first occurrence of `from` past the header line by `to`.
+/// Equal lengths keep the manifest's byte offsets valid, so a resume's
+/// truncate-to-checkpoint leaves the edit in place.
+void tamper(const std::filesystem::path& file, const std::string& from,
+            const std::string& to) {
+    std::string text = read_file(file);
+    const auto at = text.find(from, text.find('\n'));
+    ASSERT_NE(at, std::string::npos) << from;
+    text.replace(at, from.size(), to);
+    std::ofstream(file, std::ios::binary | std::ios::trunc) << text;
+}
+
+void expect_runtime_error(const std::function<void()>& fn,
+                          const std::string& prefix,
+                          const std::string& diagnostic) {
+    try {
+        fn();
+        ADD_FAILURE() << "no error; expected " << prefix << diagnostic;
+    } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(prefix), std::string::npos) << what;
+        EXPECT_NE(what.find(diagnostic), std::string::npos) << what;
+    }
+}
+
+} // namespace
+
+/// Resume and merge read every job's records through one checked step:
+/// each record must be the (ordinal, trial) the grid expects there, with
+/// the grid's seed, checkpoint policy and heuristic count.
+TEST(Campaign, ResumeAndMergeRejectRecordsTheGridDoesNotExpect) {
+    auto cfg_in = [](const std::filesystem::path& dir) {
+        auto cfg = small_campaign(dir);
+        cfg.sweep.checkpoint_values = {"none", "daly"};
+        return cfg;
+    };
+    const auto grid = ve::grid_jobs(cfg_in({}).sweep);
+    const std::string seed = std::to_string(grid.front().scenario.seed);
+    const std::string flipped =
+        std::to_string(grid.front().scenario.seed ^ 1U);
+    std::string first_makespan;
+    {
+        TempDir dir;
+        const auto outcome = ve::run_campaign(cfg_in(dir.path()));
+        const std::string text = read_file(outcome.jsonl_path);
+        const auto line_start = text.find('\n') + 1;
+        first_makespan = std::to_string(
+            ve::JsonlSink::parse_record(
+                text.substr(line_start, text.find('\n', line_start) -
+                                            line_start))
+                .makespans.front());
+    }
+    const std::string makespans = "\"makespans\":[" + first_makespan;
+    struct Tamper {
+        std::string from, to, diagnostic;
+    };
+    const std::vector<Tamper> tampers = {
+        {"\"ordinal\":0,\"trial\":0", "\"ordinal\":0,\"trial\":1",
+         "yields (ordinal 0, trial 1)"},
+        {"\"seed\":" + seed, "\"seed\":" + flipped, "carries seed " + flipped},
+        {"\"checkpoint\":\"daly\"", "\"checkpoint\":\"dali\"",
+         "checkpoint policy 'dali'"},
+        {makespans + ",", makespans + "1", "makespans, expected 2"},
+    };
+    for (const Tamper& t : tampers) {
+        SCOPED_TRACE(t.diagnostic);
+        TempDir dir;
+        const auto cfg = cfg_in(dir.path());
+        const auto outcome = ve::run_campaign(cfg);
+        ASSERT_TRUE(outcome.complete);
+        tamper(outcome.jsonl_path, t.from, t.to);
+        expect_runtime_error(
+            [&] { (void)ve::merge_shards({outcome.jsonl_path}); }, "merge: ",
+            t.diagnostic);
+        expect_runtime_error([&] { (void)ve::run_campaign(cfg); }, "resume: ",
+                             t.diagnostic);
+    }
+
+    // A shard cut short runs out of records.
+    TempDir dir;
+    const auto outcome = ve::run_campaign(cfg_in(dir.path()));
+    std::string text = read_file(outcome.jsonl_path);
+    text.erase(text.rfind('\n', text.size() - 2) + 1);
+    std::ofstream(outcome.jsonl_path, std::ios::binary | std::ios::trunc)
+        << text;
+    expect_runtime_error([&] { (void)ve::merge_shards({outcome.jsonl_path}); },
+                         "merge: ", "ran out of records");
 }
 
 TEST(Campaign, FindShardDirectoriesFiltersAndSorts) {

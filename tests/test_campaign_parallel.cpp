@@ -1,7 +1,8 @@
 /// Campaign scale-out: the barrier-free completion pipeline, in-process
 /// parallel shards, and the queryable index sidecar.  The load-bearing
-/// guarantees pinned here: (1) every pipeline window, down to lock-step
-/// window 1 (the old batch ordering), emits byte-identical outputs, (2) an
+/// guarantees pinned here: (1) every pool size and checkpoint cadence,
+/// down to one worker checkpointing every job (the narrowest derived
+/// window), emits byte-identical outputs, (2) an
 /// in-process N-shard parallel run is byte-identical to N separate
 /// sequential shard processes — and merges bit-identically to the unsharded
 /// sweep, (3) kill/resume under the pipelined emitter stays byte-identical,
@@ -24,6 +25,7 @@
 #include "exp/index_sink.hpp"
 #include "exp/sink.hpp"
 #include "exp/sweep.hpp"
+#include "obs/registry.hpp"
 #include "support/golden.hpp"
 #include "util/thread_pool.hpp"
 
@@ -143,10 +145,11 @@ query_lines(const std::vector<std::filesystem::path>& files,
 
 } // namespace
 
-TEST(Pipeline, WindowOfOneDegeneratesSafely) {
-    // window=1 forces lock-step submit/emit — the pipeline's worst case,
-    // and the old batch loop's ordering — and must still produce the
-    // canonical bytes: JSONL, index, MANIFEST, CSV and tables.
+TEST(Pipeline, OneWorkerCheckpointingEveryJobMatchesDefault) {
+    // One worker and a checkpoint after every job give the narrowest
+    // derived window (2) and the most fsyncs — the pipeline's worst case —
+    // and must still produce the canonical bytes: JSONL, index, MANIFEST,
+    // CSV and tables.
     TempDir reference_dir, narrow_dir;
     auto wide = small_campaign(reference_dir.path());
     wide.write_csv = true;
@@ -155,7 +158,8 @@ TEST(Pipeline, WindowOfOneDegeneratesSafely) {
 
     auto narrow = small_campaign(narrow_dir.path());
     narrow.write_csv = true;
-    narrow.pipeline_window = 1;
+    narrow.sweep.threads = 1;
+    narrow.checkpoint_jobs = 1;
     const auto lock_step = ve::run_campaign(narrow);
     ASSERT_TRUE(lock_step.complete);
     const auto pa = shard_bytes(reference_dir.path());
@@ -166,10 +170,53 @@ TEST(Pipeline, WindowOfOneDegeneratesSafely) {
     EXPECT_EQ(read_file(narrow_dir.file("records.csv")),
               read_file(reference_dir.file("records.csv")));
     expect_results_identical(lock_step.tables, reference.tables);
+}
 
-    auto bad = small_campaign(narrow_dir.path());
-    bad.pipeline_window = -1;
-    EXPECT_THROW(ve::run_campaign(bad), std::invalid_argument);
+TEST(Pipeline, OccupancyGaugesFollowTheWindow) {
+    // While job j is emitted, jobs up to j + window have been submitted,
+    // so the emitter lag the record hook sees is min(window, jobs left
+    // after j) — whatever the workers' timing.  A sweep moves none of the
+    // campaign.* gauges, and both leave every gauge at zero.
+    volsched::obs::Registry registry;
+    volsched::obs::Registry* const previous =
+        volsched::obs::Registry::install(&registry);
+    volsched::obs::Gauge& window = registry.gauge("campaign.window");
+    volsched::obs::Gauge& lag = registry.gauge("campaign.emitter_lag");
+    volsched::obs::Gauge& queue = registry.gauge("campaign.queue_depth");
+    std::vector<long long> window_seen, lag_seen;
+    const auto sample = [&](const ve::InstanceRecord&) {
+        window_seen.push_back(window.value());
+        lag_seen.push_back(lag.value());
+    };
+
+    TempDir dir;
+    auto cfg = small_campaign(dir.path());
+    cfg.sweep.threads = 1;
+    cfg.checkpoint_jobs = 1; // window max(1, 2 x 1) = 2
+    cfg.sweep.record = sample;
+    const auto outcome = ve::run_campaign(cfg);
+    ASSERT_TRUE(outcome.complete);
+    const int trials = cfg.sweep.trials_per_scenario;
+    ASSERT_EQ(static_cast<long long>(lag_seen.size()),
+              outcome.jobs_total * trials);
+    for (std::size_t i = 0; i < lag_seen.size(); ++i) {
+        const long long j = static_cast<long long>(i) / trials;
+        SCOPED_TRACE("record " + std::to_string(i));
+        EXPECT_EQ(window_seen[i], 2);
+        EXPECT_EQ(lag_seen[i], std::min(2LL, outcome.jobs_total - j - 1));
+    }
+    EXPECT_EQ(window.value(), 0);
+    EXPECT_EQ(lag.value(), 0);
+    EXPECT_EQ(queue.value(), 0);
+
+    window_seen.clear();
+    lag_seen.clear();
+    auto sweep = small_sweep();
+    sweep.record = sample;
+    (void)ve::run_sweep(sweep, kHeuristics);
+    EXPECT_EQ(window_seen, std::vector<long long>(16, 0));
+    EXPECT_EQ(lag_seen, std::vector<long long>(16, 0));
+    volsched::obs::Registry::install(previous);
 }
 
 TEST(Pipeline, SharedPoolRunsToCompletion) {

@@ -1,15 +1,24 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
+#include <stdexcept>
 #include <utility>
 
+#include "api/campaign_builder.hpp"
+#include "api/experiment_builder.hpp"
 #include "core/factory.hpp"
 #include "exp/dfb.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
+#include "exp/sink.hpp"
 #include "exp/sweep.hpp"
+#include "support/golden.hpp"
 
 namespace ve = volsched::exp;
+namespace va = volsched::api;
+using volsched::test::TempDir;
+using volsched::test::read_file;
 
 TEST(Scenario, RealizeIsDeterministic) {
     ve::Scenario sc;
@@ -210,4 +219,63 @@ TEST(Sweep, ProgressCallbackCoversAllInstances) {
     (void)ve::run_sweep(cfg, {"mct"});
     EXPECT_EQ(last, 3);
     EXPECT_EQ(total_seen, 3);
+}
+
+/// API.md's ResultSink example — a JsonlSink wired through .record() — at
+/// four threads must write exactly the record lines of a one-shard
+/// campaign's records.jsonl: the hook sees every instance once, in
+/// (ordinal, trial) order, whatever the thread timing.
+TEST(Sweep, RecordHookFileMatchesCampaignRecords) {
+    TempDir dir;
+    va::ExperimentBuilder experiment;
+    experiment.heuristics({"mct", "emct"})
+        .tasks({3, 5, 8})
+        .ncom({2, 4})
+        .wmin({1, 3})
+        .scenarios_per_cell(2)
+        .trials(2)
+        .processors(8)
+        .iterations(2)
+        .threads(4);
+    {
+        ve::JsonlSink sink(dir.file("sweep.jsonl"));
+        va::ExperimentBuilder with_hook = experiment;
+        (void)with_hook
+            .record([&](const ve::InstanceRecord& r) { sink.write(r); })
+            .run();
+        sink.flush();
+    }
+    const auto campaign =
+        experiment.campaign().directory(dir.path() / "campaign").run();
+    ASSERT_TRUE(campaign.complete);
+    ASSERT_EQ(campaign.instances_done, 48);
+    const std::string jsonl = read_file(campaign.jsonl_path);
+    const std::string record_lines = jsonl.substr(jsonl.find('\n') + 1);
+    EXPECT_EQ(read_file(dir.file("sweep.jsonl")), record_lines);
+}
+
+TEST(Sweep, RejectsBadArgumentsBeforeAnyJob) {
+    ve::SweepConfig cfg;
+    cfg.tasks_values = {3};
+    cfg.ncom_values = {2};
+    cfg.wmin_values = {1};
+    cfg.scenarios_per_cell = 2;
+    cfg.trials_per_scenario = 2;
+    cfg.p = 4;
+    cfg.run.iterations = 1;
+    cfg.threads = 2;
+    std::atomic<int> hook_calls{0};
+    cfg.record = [&](const ve::InstanceRecord&) { ++hook_calls; };
+    cfg.progress = [&](long long, long long) { ++hook_calls; };
+
+    cfg.checkpoint_values = {};
+    EXPECT_THROW((void)ve::run_sweep(cfg, {"mct"}), std::invalid_argument);
+    // The valid "none" jobs come first in the grid; none may run.
+    cfg.checkpoint_values = {"none", "dalyy"};
+    EXPECT_THROW((void)ve::run_sweep(cfg, {"mct"}), std::invalid_argument);
+    cfg.checkpoint_values = {"none"};
+    EXPECT_THROW((void)ve::run_sweep(cfg, {}), std::invalid_argument);
+    EXPECT_THROW((void)ve::run_sweep(cfg, {"mct", "mtc"}),
+                 std::invalid_argument);
+    EXPECT_EQ(hook_calls.load(), 0);
 }

@@ -8,8 +8,11 @@
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "exp/runner.hpp"
+#include "exp/scenario.hpp"
 #include "exp/sweep.hpp"
 #include "util/rng.hpp"
 
@@ -25,10 +28,12 @@ TEST(ThreadPool, RunsAllSubmittedTasks) {
     EXPECT_EQ(counter.load(), 100);
 }
 
-TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
+TEST(ThreadPool, SubmittedIndicesEachRunOnce) {
     vu::ThreadPool pool(3);
     std::vector<std::atomic<int>> hits(257);
-    pool.parallel_for(hits.size(), [&hits](std::size_t i) { ++hits[i]; });
+    for (std::size_t i = 0; i < hits.size(); ++i)
+        pool.submit([&hits, i] { ++hits[i]; });
+    pool.wait_idle();
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -103,11 +108,13 @@ TEST(ThreadPool, OrderedReductionBitMatchesSerialUnderConcurrency) {
         std::vector<double> partial(kTasks, 0.0);
         std::vector<std::size_t> completion_order;
         std::mutex order_mutex;
-        pool.parallel_for(kTasks, [&](std::size_t i) {
-            partial[i] = busy_work(i);
-            std::lock_guard lock(order_mutex);
-            completion_order.push_back(i);
-        });
+        for (std::size_t i = 0; i < kTasks; ++i)
+            pool.submit([&, i] {
+                partial[i] = busy_work(i);
+                std::lock_guard lock(order_mutex);
+                completion_order.push_back(i);
+            });
+        pool.wait_idle();
         ASSERT_EQ(completion_order.size(), kTasks);
 
         // Ordered reduction: bit-identical, not just approximately equal.
@@ -118,14 +125,16 @@ TEST(ThreadPool, OrderedReductionBitMatchesSerialUnderConcurrency) {
     }
 }
 
-/// Repeated waves through one pool: parallel_for barriers followed by loose
+/// Repeated waves through one pool: wait_idle barriers between bursts of
 /// submit()s must not lose tasks or deadlock (exercises the idle/active
 /// bookkeeping under contention; run under the tsan preset).
 TEST(ThreadPool, RepeatedWavesRetainEveryTask) {
     vu::ThreadPool pool(4);
     std::atomic<long long> total{0};
     for (int wave = 0; wave < 20; ++wave) {
-        pool.parallel_for(50, [&](std::size_t) { ++total; });
+        for (int i = 0; i < 50; ++i)
+            pool.submit([&total] { ++total; });
+        pool.wait_idle();
         for (int i = 0; i < 10; ++i)
             pool.submit([&total] { ++total; });
         pool.wait_idle();
@@ -161,13 +170,46 @@ void expect_maps_identical(const std::map<Key, ve::DfbTable>& ma,
     }
 }
 
+void expect_results_identical(const ve::SweepResult& a,
+                              const ve::SweepResult& b) {
+    EXPECT_EQ(a.heuristics, b.heuristics);
+    expect_tables_identical(a.overall, b.overall);
+    expect_maps_identical(a.by_wmin, b.by_wmin);
+    expect_maps_identical(a.by_tasks, b.by_tasks);
+    expect_maps_identical(a.by_ncom, b.by_ncom);
+    expect_maps_identical(a.by_checkpoint, b.by_checkpoint);
+}
+
+/// Serial reference for run_sweep that shares none of its executor: every
+/// job in ordinal order, every trial in order, no pool, each trial seeded
+/// from (master_seed, seed_ordinal, trial).
+ve::SweepResult serial_sweep(const ve::SweepConfig& cfg,
+                             const std::vector<std::string>& heuristics) {
+    ve::SweepResult result(heuristics);
+    for (const ve::GridJob& job : ve::grid_jobs(cfg)) {
+        const ve::RealizedScenario rs = ve::realize(job.scenario);
+        ve::DfbTable local(heuristics.size());
+        for (int t = 0; t < cfg.trials_per_scenario; ++t) {
+            const std::uint64_t seed =
+                vu::mix_seed(cfg.master_seed, 0x54524cULL, job.seed_ordinal,
+                             static_cast<std::uint64_t>(t));
+            local.add_instance(ve::run_instance(rs, job.scenario.tasks,
+                                                heuristics, cfg.run, seed,
+                                                job.scenario.checkpoint)
+                                   .makespans);
+        }
+        ve::merge_job_tables(result, job.scenario, local);
+    }
+    return result;
+}
+
 } // namespace
 
-/// run_sweep over the pool is the seam the in-process parallel-campaign
-/// work will widen: pin that thread count never leaks into results.  Every
-/// instance derives its RNG streams from (master_seed, seed_ordinal, trial)
-/// and per-job tables merge in job order, so 1, 2, and 5 threads must
-/// produce bit-identical SweepResults.
+/// run_sweep drains through the campaign's completion pipeline: pin that
+/// thread count never leaks into results.  Every instance derives its RNG
+/// streams from (master_seed, seed_ordinal, trial) and per-job tables
+/// merge in job order, so 1, 2, and 5 threads must each produce
+/// SweepResults bit-identical to the pool-free serial reference.
 TEST(ThreadPool, RunSweepBitIdenticalAcrossThreadCounts) {
     ve::SweepConfig cfg;
     cfg.tasks_values = {3, 4};
@@ -180,28 +222,24 @@ TEST(ThreadPool, RunSweepBitIdenticalAcrossThreadCounts) {
     cfg.master_seed = 2026;
     const std::vector<std::string> heuristics = {"mct", "emct"};
 
-    cfg.threads = 1;
-    const ve::SweepResult serial = ve::run_sweep(cfg, heuristics);
-    ASSERT_GT(serial.overall.instances(), 0);
+    const ve::SweepResult reference = serial_sweep(cfg, heuristics);
+    ASSERT_EQ(reference.overall.instances(), 16);
 
-    for (std::size_t threads : {2u, 5u}) {
+    for (std::size_t threads : {1u, 2u, 5u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
         cfg.threads = threads;
-        const ve::SweepResult parallel = ve::run_sweep(cfg, heuristics);
-        EXPECT_EQ(parallel.heuristics, serial.heuristics);
-        expect_tables_identical(parallel.overall, serial.overall);
-        expect_maps_identical(parallel.by_wmin, serial.by_wmin);
-        expect_maps_identical(parallel.by_tasks, serial.by_tasks);
-        expect_maps_identical(parallel.by_ncom, serial.by_ncom);
-        expect_maps_identical(parallel.by_checkpoint, serial.by_checkpoint);
+        expect_results_identical(ve::run_sweep(cfg, heuristics), reference);
     }
 }
 
 TEST(ThreadPool, LargeReductionIsCorrect) {
     vu::ThreadPool pool(4);
     std::vector<long long> partial(1000, 0);
-    pool.parallel_for(partial.size(), [&partial](std::size_t i) {
-        partial[i] = static_cast<long long>(i) * i;
-    });
+    for (std::size_t i = 0; i < partial.size(); ++i)
+        pool.submit([&partial, i] {
+            partial[i] = static_cast<long long>(i) * static_cast<long long>(i);
+        });
+    pool.wait_idle();
     const long long total =
         std::accumulate(partial.begin(), partial.end(), 0LL);
     long long expect = 0;

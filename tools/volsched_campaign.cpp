@@ -166,6 +166,19 @@ void print_tables(const exp::SweepResult& result, bool breakdown) {
                                        /*show_wins=*/false);
 }
 
+/// records.jsonl of every shard directory under `root`; empty, after a
+/// "<cmd>: no shard directories" diagnostic, when there is none.
+std::vector<std::filesystem::path> shard_files(const char* cmd,
+                                               const std::string& root) {
+    std::vector<std::filesystem::path> files;
+    for (const auto& dir : exp::find_shard_directories(root))
+        files.push_back(dir / "records.jsonl");
+    if (files.empty())
+        std::fprintf(stderr, "%s: no shard directories under '%s'\n", cmd,
+                     root.c_str());
+    return files;
+}
+
 int cmd_run(int argc, char** argv) {
     util::Cli cli("volsched_campaign run",
                   "run (or resume) one shard of a sweep campaign");
@@ -198,9 +211,6 @@ int cmd_run(int argc, char** argv) {
     cli.add_int("parallel", 0,
                 "drive all N shards of an N-way campaign from this process "
                 "over one shared worker pool (replaces --shard; 0: off)");
-    cli.add_int("pipeline-window", 0,
-                "pipeline run-ahead bound in jobs (0: auto-size to "
-                "max(checkpoint cadence, 2 x pool size))");
     cli.add_flag("no-event-core",
                  "step every slot through the reference loop instead of the "
                  "event-driven core (results are identical either way, "
@@ -314,8 +324,6 @@ int cmd_run(int argc, char** argv) {
                         .csv(cli.get_flag("csv"))
                         .stop_after_batches(
                             static_cast<int>(cli.get_int("batches")))
-                        .pipeline_window(static_cast<int>(
-                            cli.get_int("pipeline-window")))
                         .heartbeat();
     if (cli.get_flag("fresh")) campaign.fresh();
     if (!cli.get_flag("quiet")) {
@@ -402,16 +410,8 @@ int cmd_query(int argc, char** argv) {
         !axis("tasks", filter.tasks) || !axis("ncom", filter.ncom))
         return 2;
 
-    const auto dirs =
-        exp::find_shard_directories(cli.get_string("out"));
-    if (dirs.empty()) {
-        std::fprintf(stderr, "query: no shard directories under '%s'\n",
-                     cli.get_string("out").c_str());
-        return 1;
-    }
-    std::vector<std::filesystem::path> files;
-    files.reserve(dirs.size());
-    for (const auto& dir : dirs) files.push_back(dir / "records.jsonl");
+    const auto files = shard_files("query", cli.get_string("out"));
+    if (files.empty()) return 1;
 
     std::FILE* dest = stdout;
     if (const auto& path = cli.get_string("output"); !path.empty()) {
@@ -431,9 +431,7 @@ int cmd_query(int argc, char** argv) {
         std::string header_line;
         std::getline(first, header_line);
         const auto header = exp::parse_campaign_header(header_line);
-        with_checkpoint =
-            header.sweep.checkpoint_values.size() != 1 ||
-            header.sweep.checkpoint_values.front() != "none";
+        with_checkpoint = exp::has_checkpoint_axis(header.sweep);
         std::fprintf(dest, "%s\n",
                      exp::CsvSink::header_row(header.heuristics,
                                               with_checkpoint)
@@ -476,17 +474,8 @@ int cmd_merge(int argc, char** argv) {
         return 2;
     }
 
-    const auto dirs =
-        exp::find_shard_directories(cli.get_string("out"));
-    if (dirs.empty()) {
-        std::fprintf(stderr,
-                     "merge: no shard directories under '%s'\n",
-                     cli.get_string("out").c_str());
-        return 1;
-    }
-    std::vector<std::filesystem::path> files;
-    files.reserve(dirs.size());
-    for (const auto& dir : dirs) files.push_back(dir / "records.jsonl");
+    const auto files = shard_files("merge", cli.get_string("out"));
+    if (files.empty()) return 1;
     const auto result = exp::merge_shards(files);
     std::printf("merged %zu shard(s), %lld instances\n\n", files.size(),
                 result.overall.instances());
