@@ -1,12 +1,12 @@
 #include "api/experiment_builder.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "api/campaign_builder.hpp"
 #include "api/registry.hpp"
 #include "ckpt/registry.hpp"
 #include "core/factory.hpp"
+#include "exp/grid_exec.hpp"
 #include "util/cli.hpp"
 
 namespace volsched::api {
@@ -15,20 +15,6 @@ namespace {
 
 [[noreturn]] void fail(const std::string& what) {
     throw std::invalid_argument("ExperimentBuilder: " + what);
-}
-
-void require_positive(const char* what, long long value) {
-    if (value <= 0)
-        fail(std::string(what) + " must be positive, got " +
-             std::to_string(value));
-}
-
-void require_axis(const char* what, const std::vector<int>& values) {
-    if (values.empty()) fail(std::string(what) + " axis is empty");
-    for (int v : values)
-        if (v <= 0)
-            fail(std::string(what) + " axis contains the non-positive value " +
-                 std::to_string(v));
 }
 
 } // namespace
@@ -178,27 +164,11 @@ ExperimentBuilder& ExperimentBuilder::record(
 }
 
 void ExperimentBuilder::validate() const {
-    if (heuristics_.empty())
-        fail("no heuristics; call .heuristics({...}), .all_heuristics() or "
-             ".greedy_heuristics()");
-    require_axis("tasks", config_.tasks_values);
-    require_axis("ncom", config_.ncom_values);
-    require_axis("wmin", config_.wmin_values);
-    require_positive("processors", config_.p);
-    require_positive("scenarios_per_cell", config_.scenarios_per_cell);
-    require_positive("trials", config_.trials_per_scenario);
-    require_positive("iterations", config_.run.iterations);
-    require_positive("max_slots", config_.run.max_slots);
-    if (config_.run.replica_cap < 0) fail("replica_cap is negative");
-    if (config_.run.checkpoint_cost < 0) fail("checkpoint_cost is negative");
-    if (config_.checkpoint_values.empty())
-        fail("checkpoint axis is empty; call .checkpoints({...}) with at "
-             "least one policy spec (\"none\" is the paper's model)");
-    // isfinite also rejects NaN, which every < comparison would wave
-    // through — and which would poison the JSONL campaign headers.
-    if (!std::isfinite(config_.tdata_factor) || config_.tdata_factor < 0 ||
-        !std::isfinite(config_.tprog_factor) || config_.tprog_factor < 0)
-        fail("tdata/tprog factors must be finite and non-negative");
+    try {
+        exp::detail::check_grid_args(config_, heuristics_);
+    } catch (const std::invalid_argument& e) {
+        fail(e.what());
+    }
 }
 
 exp::SweepConfig ExperimentBuilder::sweep_config() const {

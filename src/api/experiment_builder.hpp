@@ -100,6 +100,8 @@ public:
     [[nodiscard]] CampaignBuilder campaign() const;
 
 private:
+    /// exp::detail::check_grid_args, the validator run_sweep and
+    /// run_campaign run too, its message prefixed "ExperimentBuilder: ".
     void validate() const;
 
     exp::SweepConfig config_;

@@ -50,6 +50,7 @@ sim::ProcId HybridScheduler::select(const sim::SchedView& view,
                                     std::span<const sim::ProcId> eligible,
                                     std::span<const int> nq, util::Rng& rng) {
     (void)rng;
+    if (!view.can_commit) return sim::kNoProc;
     // Batched passes over contiguous scratch (same shape as the greedy
     // skeleton): completion times, then scores, then argmin — decisions
     // identical to a scalar loop over ct_plain and the markov:: free

@@ -32,6 +32,8 @@ public:
     ThresholdScheduler(std::unique_ptr<sim::Scheduler> inner,
                        double threshold);
 
+    /// The inner heuristic's pick among the survivors; its kNoProc opt-out
+    /// from rounds that cannot commit passes through unchanged.
     sim::ProcId select(const sim::SchedView& view,
                        std::span<const sim::ProcId> eligible,
                        std::span<const int> nq, util::Rng& rng) override;
@@ -58,6 +60,8 @@ class HybridScheduler final : public sim::Scheduler {
 public:
     HybridScheduler() = default;
 
+    /// Like the greedy family: kNoProc, scoring nothing, when
+    /// `view.can_commit` is false.
     sim::ProcId select(const sim::SchedView& view,
                        std::span<const sim::ProcId> eligible,
                        std::span<const int> nq, util::Rng& rng) override;

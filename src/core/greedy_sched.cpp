@@ -61,6 +61,8 @@ sim::ProcId GreedyScheduler::select(const sim::SchedView& view,
                                     std::span<const sim::ProcId> eligible,
                                     std::span<const int> nq, util::Rng& rng) {
     (void)rng;
+    // A round that cannot commit leaves nothing for a score to decide.
+    if (!view.can_commit) return sim::kNoProc;
     batched_scores(view, eligible, nq, cts_, scores_);
     sim::ProcId best = eligible[0];
     double best_score = std::numeric_limits<double>::infinity();

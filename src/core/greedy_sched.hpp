@@ -31,6 +31,9 @@ namespace volsched::core {
 /// Shared skeleton: score every eligible processor, keep the best.
 class GreedyScheduler : public sim::Scheduler {
 public:
+    /// Returns kNoProc, scoring nothing, when `view.can_commit` is false:
+    /// a greedy pick draws no RNG and a pick that cannot commit is
+    /// discarded, so such rounds mean nothing to it (sim::Scheduler).
     sim::ProcId select(const sim::SchedView& view,
                        std::span<const sim::ProcId> eligible,
                        std::span<const int> nq, util::Rng& rng) final;

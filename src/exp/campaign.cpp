@@ -473,7 +473,8 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
     const auto stage_stats = [](const obs::Histogram& h) {
         return StageStats{h.count(), h.sum(), h.max()};
     };
-    auto write_heartbeat = [&](const char* state) {
+    auto write_heartbeat = [&](const char* state,
+                               const std::string& message = {}) {
         if (!cfg.heartbeat) return;
         ShardStatus s;
         s.shard = cfg.shard_index;
@@ -485,6 +486,7 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
         s.emitter_lag = occupancy.emitter_lag.load();
         s.window = window;
         s.state = state;
+        s.message = message;
         s.run = stage_stats(stage_run);
         s.serialize = stage_stats(stage_serialize);
         s.fsync = stage_stats(stage_fsync);
@@ -522,36 +524,53 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
             end_jobs, first_job + static_cast<long long>(
                                       cfg.stop_after_batches) *
                                       cfg.checkpoint_jobs);
-    detail::run_pipeline(
-        pool, first_job, end_jobs, window,
-        [&](long long j) { // worker threads; touches no sink
-            const std::int64_t start_us = timed ? obs::now_us() : 0;
-            detail::JobOutcome out = detail::run_grid_job(
-                cfg.sweep, cfg.heuristics, jobs[static_cast<std::size_t>(j)],
-                true, instances_done, shard_instances_total);
-            stage_sample(stage_run, h_run, start_us);
-            return out;
-        },
-        [&](long long j, detail::JobOutcome& out) {
-            // The driver thread: the single writer every ResultSink expects.
-            const std::int64_t start_us = timed ? obs::now_us() : 0;
-            for (const InstanceRecord& rec : out.records) {
-                index.add(rec.scenario_ordinal, rec.trial, jsonl.offset());
-                jsonl.write(rec);
-                if (csv) csv->write(rec);
-                if (cfg.sweep.record) cfg.sweep.record(rec);
-            }
-            merge_job_tables(result.tables,
-                             jobs[static_cast<std::size_t>(j)].scenario,
-                             out.local);
-            stage_sample(stage_serialize, h_serialize, start_us);
-            ++jobs_done;
-            if ((jobs_done - first_job) % cfg.checkpoint_jobs == 0 ||
-                jobs_done == jobs_total)
-                checkpoint(jobs_done);
-            heartbeat_tick();
-        },
-        &occupancy);
+    const auto run_job = [&](long long j) { // worker threads; no sink
+        const std::int64_t start_us = timed ? obs::now_us() : 0;
+        detail::JobOutcome out = detail::run_grid_job(
+            cfg.sweep, cfg.heuristics, jobs[static_cast<std::size_t>(j)],
+            true, instances_done, shard_instances_total);
+        stage_sample(stage_run, h_run, start_us);
+        return out;
+    };
+    const auto emit = [&](long long j, detail::JobOutcome& out) {
+        // The driver thread: the single writer every ResultSink expects.
+        const std::int64_t start_us = timed ? obs::now_us() : 0;
+        for (const InstanceRecord& rec : out.records) {
+            index.add(rec.scenario_ordinal, rec.trial, jsonl.offset());
+            jsonl.write(rec);
+            if (csv) csv->write(rec);
+            if (cfg.sweep.record) cfg.sweep.record(rec);
+        }
+        merge_job_tables(result.tables,
+                         jobs[static_cast<std::size_t>(j)].scenario,
+                         out.local);
+        stage_sample(stage_serialize, h_serialize, start_us);
+        ++jobs_done;
+        if ((jobs_done - first_job) % cfg.checkpoint_jobs == 0 ||
+            jobs_done == jobs_total)
+            checkpoint(jobs_done);
+        heartbeat_tick();
+    };
+    // A failure (a job's or the emitter's) stops the pipeline, which
+    // returns its occupancy to zero; the last heartbeat then says why the
+    // shard stopped.  A heartbeat that cannot be written must not mask the
+    // failure it reports.
+    const auto report_failure = [&](const std::string& message) {
+        try {
+            write_heartbeat("failed", message);
+        } catch (const std::exception&) {
+        }
+    };
+    try {
+        detail::run_pipeline(pool, first_job, end_jobs, window, run_job, emit,
+                             &occupancy);
+    } catch (const std::exception& e) {
+        report_failure(e.what());
+        throw;
+    } catch (...) {
+        report_failure("unknown error");
+        throw;
+    }
 
     write_heartbeat(jobs_done == jobs_total ? "done" : "stopped");
     result.jobs_done = jobs_done;
@@ -569,6 +588,7 @@ ParallelCampaignResult run_parallel_campaign(const CampaignConfig& base) {
         throw std::invalid_argument("campaign: shard count must be >= 1");
     if (base.directory.empty())
         throw std::invalid_argument("campaign: no output directory");
+    detail::check_grid_args(base.sweep, base.heuristics);
     const int shards = base.shard_count;
     const int trials = base.sweep.trials_per_scenario;
 

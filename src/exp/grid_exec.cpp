@@ -1,5 +1,6 @@
 #include "exp/grid_exec.hpp"
 
+#include <cmath>
 #include <condition_variable>
 #include <exception>
 #include <map>
@@ -20,17 +21,57 @@ void fail(const std::string& what) {
 // Grid execution
 // ---------------------------------------------------------------------------
 
+namespace {
+
+[[noreturn]] void reject(const std::string& what) {
+    throw std::invalid_argument("grid: " + what);
+}
+
+void require_positive(const char* what, long long value) {
+    if (value <= 0)
+        reject(std::string(what) + " must be positive, got " +
+               std::to_string(value));
+}
+
+void require_axis(const char* what, const std::vector<int>& values) {
+    if (values.empty()) reject(std::string(what) + " axis is empty");
+    for (const int v : values)
+        if (v <= 0)
+            reject(std::string(what) +
+                   " axis contains the non-positive value " +
+                   std::to_string(v));
+}
+
+} // namespace
+
 void check_grid_args(const SweepConfig& cfg,
                      const std::vector<std::string>& heuristics) {
     // A typo fails here with the registry's did-you-mean message instead of
     // throwing mid-grid on a worker thread.
-    if (heuristics.empty()) throw std::invalid_argument("grid: no heuristics");
+    if (heuristics.empty())
+        reject("no heuristics; name at least one scheduler spec");
     for (const auto& name : heuristics)
         api::SchedulerRegistry::instance().validate(name);
+    require_axis("tasks", cfg.tasks_values);
+    require_axis("ncom", cfg.ncom_values);
+    require_axis("wmin", cfg.wmin_values);
+    require_positive("processors", cfg.p);
+    require_positive("scenarios_per_cell", cfg.scenarios_per_cell);
+    require_positive("trials", cfg.trials_per_scenario);
+    require_positive("iterations", cfg.run.iterations);
+    require_positive("max_slots", cfg.run.max_slots);
+    if (cfg.run.replica_cap < 0) reject("replica_cap is negative");
+    if (cfg.run.checkpoint_cost < 0) reject("checkpoint_cost is negative");
     if (cfg.checkpoint_values.empty())
-        throw std::invalid_argument("grid: empty checkpoint axis");
+        reject("checkpoint axis is empty; give at least one policy spec "
+               "(\"none\" is the paper's model)");
     for (const auto& spec : cfg.checkpoint_values)
         ckpt::CheckpointRegistry::instance().validate(spec);
+    // isfinite also rejects NaN, which every < comparison would wave
+    // through — and which would poison the JSONL campaign headers.
+    if (!std::isfinite(cfg.tdata_factor) || cfg.tdata_factor < 0 ||
+        !std::isfinite(cfg.tprog_factor) || cfg.tprog_factor < 0)
+        reject("tdata/tprog factors must be finite and non-negative");
 }
 
 JobOutcome run_grid_job(const SweepConfig& cfg,
@@ -90,6 +131,7 @@ void run_pipeline(util::ThreadPool& pool, long long first, long long end,
     std::exception_ptr first_error;
     long long in_flight = 0;
     long long next_submit = first;
+    long long released = first; ///< jobs whose lag the emitter released
 
     // Caller holds `mu`.  Tasks capture this stack frame by reference,
     // which is why every exit path below drains `in_flight` to zero
@@ -142,6 +184,7 @@ void run_pipeline(util::ThreadPool& pool, long long first, long long end,
                 submit_upto_window(j + 1);
             }
             move_gauge(occ.emitter_lag, occ.lag_gauge, -1);
+            ++released;
             emit(j, *out);
         }
     } catch (...) {
@@ -151,7 +194,14 @@ void run_pipeline(util::ThreadPool& pool, long long first, long long end,
     std::unique_lock lock(mu);
     cv.wait(lock, [&] { return in_flight == 0; });
     if (occ.window_gauge) occ.window_gauge->add(-window);
-    if (first_error) std::rethrow_exception(first_error);
+    if (first_error) {
+        // Submitted jobs that will never be emitted leave the lag, and
+        // finished ones the queue, so a failed pipeline reads empty too.
+        move_gauge(occ.emitter_lag, occ.lag_gauge, -(next_submit - released));
+        move_gauge(occ.queue_depth, occ.queue_gauge,
+                   -static_cast<long long>(ready.size()));
+        std::rethrow_exception(first_error);
+    }
 }
 
 // ---------------------------------------------------------------------------

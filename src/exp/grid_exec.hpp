@@ -27,9 +27,15 @@ namespace volsched::exp::detail {
 /// Throws std::runtime_error("campaign: " + what).
 [[noreturn]] void fail(const std::string& what);
 
-/// Throws std::invalid_argument, before any job runs, unless there is at
-/// least one heuristic, every heuristic spec resolves, the checkpoint axis
-/// is non-empty and every checkpoint spec resolves.
+/// The one validator of a grid's arguments, for run_sweep, run_campaign
+/// and api::ExperimentBuilder alike.  Throws std::invalid_argument, before
+/// any pool, job or heartbeat starts, unless there is at least one
+/// heuristic and every heuristic spec resolves; the tasks, ncom and wmin
+/// axes are non-empty and positive; p, scenarios per cell, trials,
+/// iterations and max_slots are positive; the replica cap and checkpoint
+/// cost are non-negative; the checkpoint axis is non-empty and every spec
+/// on it resolves; and the tdata/tprog factors are finite and
+/// non-negative.
 void check_grid_args(const SweepConfig& cfg,
                      const std::vector<std::string>& heuristics);
 
@@ -67,7 +73,8 @@ struct PipelineOccupancy {
 /// `window` jobs in flight or finished-but-unemitted, and hands each
 /// outcome to `emit` on the calling thread strictly in job order.  The
 /// first failure (of a job or of `emit`) stops submission and is rethrown
-/// once every submitted job has stopped.  `occupancy` is moved as jobs
+/// once every submitted job has stopped, with `occupancy` moved back to
+/// zero.  `occupancy` is moved as jobs
 /// pass through when set (the campaign's); a sweep passes nullptr.
 void run_pipeline(util::ThreadPool& pool, long long first, long long end,
                   long long window,

@@ -52,6 +52,8 @@ std::string status_to_json(const ShardStatus& s) {
     field(out, "emitter_lag", s.emitter_lag);
     field(out, "window", s.window);
     out += ",\"state\":\"" + util::json::escape(s.state) + "\"";
+    if (!s.message.empty())
+        out += ",\"message\":\"" + util::json::escape(s.message) + "\"";
     stage(out, "run", s.run);
     stage(out, "serialize", s.serialize);
     stage(out, "fsync", s.fsync);
@@ -84,6 +86,8 @@ std::optional<ShardStatus> read_status(
         s.emitter_lag = v.at("emitter_lag").as_i64();
         s.window = v.at("window").as_i64();
         s.state = v.at("state").as_string();
+        if (const auto* message = v.find("message"))
+            s.message = message->as_string();
         s.run = parse_stage(v.at("run"));
         s.serialize = parse_stage(v.at("serialize"));
         s.fsync = parse_stage(v.at("fsync"));

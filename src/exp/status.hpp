@@ -43,8 +43,13 @@ struct ShardStatus {
     long long queue_depth = 0; ///< completed jobs waiting for the emitter
     long long emitter_lag = 0; ///< submitted - emitted (in-flight + queued)
     long long window = 0;      ///< run-ahead window size (max emitter lag)
-    /// "running" while the shard works, "done" after its final flush.
+    /// "running" while the shard works, "done" after its final flush,
+    /// "stopped" after a deliberate early stop, "failed" when a job or the
+    /// emitter threw.
     std::string state = "running";
+    /// Why the shard failed (the exception's message); empty otherwise,
+    /// and then left out of the JSON.
+    std::string message;
     /// Per-stage wall-time aggregates (microseconds).
     StageStats run;       ///< simulation of one job on a worker
     StageStats serialize; ///< rendering a job's records to bytes

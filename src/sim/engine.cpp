@@ -9,6 +9,7 @@
 #include <queue>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 
 #include "ckpt/policy.hpp"
@@ -271,6 +272,8 @@ public:
         up_.reset(p);
         holders_.reset(p);
         transfers_.reset(p);
+        free_.reset(p);
+        for (int q = 0; q < p; ++q) free_.assign(q, true);
         up_since_.assign(static_cast<std::size_t>(p), 0);
         views_.resize(static_cast<std::size_t>(p));
         nq_.assign(static_cast<std::size_t>(p), 0);
@@ -634,21 +637,50 @@ private:
 
     /// Walk-free sufficient condition for plan_would_act: a non-passive
     /// class with a worker present, bandwidth provably left over after the
-    /// in-flight transfers, and a pool original to plan (or a replica to
-    /// consider) runs a heuristic round.  Each UP worker in `transfers_`
-    /// advances at most one transfer, or two when a checkpoint upload can
-    /// ride beside its data (a program download excludes both: data starts
-    /// only once the program is held, and only a computing worker uploads).
+    /// in-flight transfers, a round the heuristic has not opted out of, and
+    /// a pool original to plan (or a replica to consider) runs a heuristic
+    /// round.  Each UP worker in `transfers_` advances at most one
+    /// transfer, or two when a checkpoint upload can ride beside its data
+    /// (a program download excludes both: data starts only once the
+    /// program is held, and only a computing worker uploads).
     [[nodiscard]] bool round_due() const {
         if (config_.plan_class == SchedulerClass::Passive || up_count_ == 0)
             return false;
         if (pf_.t_data > 0 &&
             transfers_.size(&up_) * (config_.checkpoint ? 2 : 1) >= pf_.ncom)
             return false;
-        if (may_replicate()) return true;
+        if (skips_round()) return false;
+        return may_replicate() || has_pool_original();
+    }
+
+    /// Some original of the iteration waits in the master's pool.
+    [[nodiscard]] bool has_pool_original() const {
         for (const Instance& inst : originals())
             if (inst.status == InstStatus::Pool) return true;
         return false;
+    }
+
+    /// Whether a round's picks can be committed this slot (SchedView::
+    /// can_commit): always under Passive, whose plans stick; otherwise
+    /// only when some UP worker has a free buffer.  Both sets are frozen
+    /// across a steady stretch, so the answer is too.
+    [[nodiscard]] bool can_commit() const {
+        return config_.plan_class == SchedulerClass::Passive ||
+               free_.next(0, &up_) >= 0;
+    }
+
+    /// True when this slot's round, if one is due, is skipped: the
+    /// heuristic opted out of rounds that cannot commit (Scheduler::select
+    /// returned kNoProc in one), and this is such a round.
+    [[nodiscard]] bool skips_round() const {
+        return opted_out_ && !can_commit();
+    }
+
+    /// True when plan_and_commit, with `budget` bandwidth units left,
+    /// reaches a round and skips it (it counts `sim.rounds_skipped`).
+    [[nodiscard]] bool round_skipped(int budget) const {
+        if ((budget == 0 && pf_.t_data > 0) || up_count_ == 0) return false;
+        return skips_round() && (may_replicate() || has_pool_original());
     }
 
     /// Audit-mode check that round_due only claims what plan_would_act
@@ -691,15 +723,16 @@ private:
         // (may_replicate needs up_count_ > remaining_logical_ >= 0 and the
         // commit sweep needs an UP target), so the phase is inert.
         if (up_count_ == 0) return false;
+        // A round the heuristic opted out of is skipped without a side
+        // effect (it only counts sim.rounds_skipped, which fast_forward
+        // counts too).
+        if (skips_round()) return false;
         // A heuristic round runs: begin_round plus RNG-consuming selects.
         if (may_replicate()) return true;
-        if (config_.plan_class != SchedulerClass::Passive) {
-            // Non-passive classes re-plan every round: any pool instance
-            // means a round runs.
-            for (const auto& inst : originals())
-                if (inst.status == InstStatus::Pool) return true;
-            return false;
-        }
+        // Non-passive classes re-plan every round: any pool instance means
+        // a round runs.
+        if (config_.plan_class != SchedulerClass::Passive)
+            return has_pool_original();
         bool any_pool = false;
         bool any_unplanned = false;
         for (const auto& inst : originals()) {
@@ -810,6 +843,7 @@ private:
         if (config_.audit) audit_steady_range(from, to);
         int budget = pf_.ncom;
         advance_in_flight(budget, n);
+        if (round_skipped(budget)) work_.rounds_skipped += n;
         advance_compute(n);
         metrics_.slots_elided += n;
         if (up_count_ == 0) metrics_.dead_slots_skipped += n;
@@ -957,6 +991,7 @@ private:
         if (w.staged == id) {
             w.staged = -1;
             w.data_start = -1;
+            free_.assign(q, true);
         }
         sync_holder(q);
         inst.proc = kNoProc;
@@ -1199,6 +1234,10 @@ private:
             may_replicate;
         if (pool_.empty() && !may_replicate) return;
         if (up_count_ == 0) return;
+        if (skips_round()) {
+            ++work_.rounds_skipped;
+            return;
+        }
 
         // Bring the heuristic's snapshot up to date.  A view can only have
         // moved for a holder (its counters advance every slot) or for a
@@ -1217,6 +1256,7 @@ private:
         view.slot = t;
         view.nactive = 0;
         view.remaining_tasks = static_cast<int>(pool_.size());
+        view.can_commit = can_commit();
 
         // Undo only what the previous round wrote: the queue counts of the
         // workers it planned on and its replica targets.
@@ -1228,6 +1268,7 @@ private:
         if (config_.audit) audit_round_scratch();
 
         if (must_plan) {
+            if (config_.audit) round_rng_ = sched_rng_;
             for (RunObserver* o : config_.observers) o->on_round(t);
             sched.begin_round(view);
 
@@ -1256,8 +1297,9 @@ private:
                 const std::vector<ProcId>& candidates =
                     lone ? eligible_ : scratch_;
                 if (candidates.empty()) continue;
-                const ProcId q =
-                    sched.select(view, candidates, nq_, sched_rng_);
+                const ProcId q = select(sched, view, candidates);
+                // Opted out: nothing this round plans could commit.
+                if (q == kNoProc) return;
                 inst.planned = q;
                 inst.plan_seq = plan_counter_++;
                 note_planned(q, view);
@@ -1283,8 +1325,7 @@ private:
                             scratch_.push_back(q);
                         }
                         if (scratch_.empty()) break;
-                        const ProcId q =
-                            sched.select(view, scratch_, nq_, sched_rng_);
+                        const ProcId q = select(sched, view, scratch_);
                         replica_plan_.push_back({lt, q});
                         planned_logical_[q] = lt;
                         note_planned(q, view);
@@ -1329,6 +1370,31 @@ private:
                 --logical_live_[lt];
             }
         }
+    }
+
+    /// One select() of the round.  A kNoProc answer is the heuristic's
+    /// opt-out from rounds that cannot commit (Scheduler::select).
+    ProcId select(Scheduler& sched, const SchedView& view,
+                  std::span<const ProcId> candidates) {
+        const ProcId q = sched.select(view, candidates, nq_, sched_rng_);
+        if (q == kNoProc) [[unlikely]]
+            opt_out(sched, view);
+        return q;
+    }
+
+    /// Records the heuristic's opt-out, which holds for the rest of the
+    /// run.  It is legal only in a round that cannot commit and, as audit
+    /// mode checks, only without an RNG draw in that round.
+    void opt_out(const Scheduler& sched, const SchedView& view) {
+        if (view.can_commit)
+            throw std::logic_error("scheduler '" + std::string(sched.name()) +
+                                   "' returned kNoProc in a round that can "
+                                   "commit");
+        if (config_.audit &&
+            util::Rng(round_rng_)() != util::Rng(sched_rng_)())
+            throw std::logic_error("audit: a scheduler drew from its RNG in "
+                                   "the round it opted out of");
+        opted_out_ = true;
     }
 
     /// Counts one more instance planned on `q` this round; the first one
@@ -1410,6 +1476,7 @@ private:
         inst.proc = q;
         inst.commit_slot = t;
         workers_[q].staged = id;
+        free_.assign(q, false);
         sync_holder(q);
     }
 
@@ -1513,6 +1580,7 @@ private:
             throw std::logic_error("audit: unflagged promotion");
         w.computing = w.staged;
         w.staged = -1;
+        free_.assign(q, true);
         w.data_start = -1;
         w.compute_remaining = pf_.w[q];
         w.since_ckpt = 0;
@@ -1641,6 +1709,7 @@ private:
             reg->counter(kHorizonCounters[i]).add(work_.horizon[i]);
         reg->counter("sim.cursor_queries").add(work_.cursor_queries);
         reg->counter("sim.slots_stepped").add(work_.slots_stepped);
+        reg->counter("sim.rounds_skipped").add(work_.rounds_skipped);
     }
 
     /// Marks worker q's activity this slot; kept only for the observers.
@@ -1757,20 +1826,23 @@ private:
     }
 
     /// Audit-mode rebuild of the incremental stepping state from scratch:
-    /// the UP, holder and transfer sets from the worker columns, and the
-    /// change cache from the realized traces (each cached slot must be the
-    /// end of the worker's current segment, or a lookahead cap inside it,
-    /// and the queue must hold exactly one entry per worker at that slot).
+    /// the UP, holder, transfer and free-buffer sets from the worker
+    /// columns, and the change cache from the realized traces (each cached
+    /// slot must be the end of the worker's current segment, or a
+    /// lookahead cap inside it, and the queue must hold exactly one entry
+    /// per worker at that slot).
     /// Also checks that no activity flag outlives its slot.
     void audit_worker_sets() const {
-        WorkerSet up, holders, transfers;
+        WorkerSet up, holders, transfers, free;
         up.reset(pf_.size());
         holders.reset(pf_.size());
         transfers.reset(pf_.size());
+        free.reset(pf_.size());
         for (int q = 0; q < pf_.size(); ++q) {
             up.assign(q, workers_.state[q] == ProcState::Up);
             holders.assign(q, holds_work(q));
             transfers.assign(q, moves_data(q));
+            free.assign(q, workers_.staged[q] == -1);
             if (slot_flags_[q] != 0)
                 throw std::logic_error("audit: activity flag left set");
         }
@@ -1780,6 +1852,8 @@ private:
             throw std::logic_error("audit: holder set drift");
         if (!(transfers == transfers_))
             throw std::logic_error("audit: transfer set drift");
+        if (!(free == free_))
+            throw std::logic_error("audit: free-buffer set drift");
         for (int q = 0; q < pf_.size(); ++q) {
             const auto& segs = traces_->trace(q).segments();
             const auto seg = std::upper_bound(
@@ -1889,12 +1963,14 @@ private:
     const EngineConfig& config_;
     std::vector<markov::TraceCursor> cursors_;
     util::Rng sched_rng_{0};
+    util::Rng round_rng_{0}; ///< sched_rng_ at the round's start (audit)
     const std::vector<markov::MarkovChain>* beliefs_ = nullptr;
 
     WorkerSoA workers_;
     WorkerSet up_;      ///< workers in state UP (maintained by phase 1)
     WorkerSet holders_; ///< workers for which holds_work() is true
     WorkerSet transfers_; ///< workers for which moves_data() is true
+    WorkerSet free_;      ///< workers whose buffer is free (staged == -1)
     /// Workers whose views_ entry may be out of date (holders always are).
     WorkerSet stale_views_;
     int up_count_ = 0;  ///< up_.size(), as of the current slot
@@ -1913,12 +1989,14 @@ private:
                         std::greater<>>
         change_queue_;
     /// Deterministic work counters, published once per run: worker visits
-    /// per phase, steady_horizon exits per cause.
+    /// per phase, steady_horizon exits per cause, cursor queries, stepped
+    /// slots and skipped rounds.
     struct {
         std::array<long long, kPhaseCounters.size()> visits{};
         std::array<long long, kHorizonCounters.size()> horizon{};
         long long cursor_queries = 0;
         long long slots_stepped = 0;
+        long long rounds_skipped = 0; ///< rounds skips_round() dropped
     } work_;
     Phase phase_ = Phase::States; ///< the phase whose walks visit() counts
     std::vector<Instance> instances_;
@@ -1938,6 +2016,9 @@ private:
     /// staged task) completed since the last end of slot.
     bool completion_due_ = false;
     bool promotion_due_ = false;
+    /// The heuristic returned kNoProc in a round that could not commit:
+    /// every later such round is skipped (skips_round).
+    bool opted_out_ = false;
 
     RunMetrics metrics_;
 

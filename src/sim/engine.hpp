@@ -44,18 +44,29 @@
 ///    two counters are bit-identical to the slot loop; audit mode
 ///    re-verifies every elided range.
 ///
+/// What still forces the event core to step a slot: an availability
+/// change, a transfer that drains, a computation that completes, a
+/// checkpoint the policy takes, a deferred data start, a proactive
+/// un-enrolment, and a heuristic round.  A round whose picks cannot be
+/// committed (SchedView::can_commit: a non-passive class with every UP
+/// worker's buffer full) forces one only until the heuristic opts out of
+/// such rounds by returning kNoProc from select() (Scheduler::select).
+/// After that, both cores skip those rounds (`sim.rounds_skipped`), and
+/// the event core elides the slots they alone held.  The random family
+/// never opts out, because its picks draw RNG.
+///
 /// In both cores a simulated slot costs time in proportion to the workers
 /// that can act in it — UP workers holding work (a program download, a
 /// staged or computing instance, a checkpoint upload), workers with a
 /// transfer in flight, and the workers whose availability segment ends in
 /// that slot — plus the UP workers a scheduling round offers as
 /// candidates; not in proportion to the fleet size.  The runner keeps the
-/// UP, holder and transfer sets incrementally, in processor order, and a
-/// per-worker cache of the slot where each RLE segment ends.  UP slots are
-/// credited per UP stretch rather than per slot, the end-of-slot
-/// completion and promotion walks run only when a computation or a data
-/// transfer finished, and a walk-free check settles the common "a round is
-/// due" case before the event core computes a horizon.  A scheduling round
+/// UP, holder, transfer and free-buffer sets incrementally, in processor
+/// order, and a per-worker cache of the slot where each RLE segment ends.
+/// UP slots are credited per UP stretch rather than per slot, the
+/// end-of-slot completion and promotion walks run only when a computation
+/// or a data transfer finished, and a walk-free check settles the common
+/// "a round is due" case before the event core computes a horizon.  A scheduling round
 /// refreshes only the processor views that can have changed, resets only
 /// the per-worker round scratch the previous round wrote, and the bundled
 /// heuristics score (and pin) only the candidates they are offered.  What
@@ -65,8 +76,8 @@
 /// recorded slot), and audit mode.  Each run adds its work counters
 /// (`sim.worker_visits` and its per-phase split `sim.visits.*`, the
 /// horizon exits `sim.horizon.*`, `sim.cursor_queries`,
-/// `sim.slots_stepped`; API.md lists them) to the installed obs::Registry,
-/// if any.
+/// `sim.slots_stepped`, `sim.rounds_skipped`; API.md lists them) to the
+/// installed obs::Registry, if any.
 
 #include <memory>
 #include <vector>

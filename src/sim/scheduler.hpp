@@ -5,7 +5,9 @@
 /// exist, the engine runs one "round": it presents a snapshot of every
 /// processor and asks the heuristic, task instance by task instance, which
 /// UP processor the instance should go to — mirroring the one-by-one greedy
-/// assignment of Section 6.
+/// assignment of Section 6.  A round whose picks cannot be committed
+/// (SchedView::can_commit) still runs until the heuristic opts out of such
+/// rounds through select()'s in-band kNoProc return.
 
 #include <cstdint>
 #include <span>
@@ -48,6 +50,11 @@ struct SchedView {
     int nactive = 0;
     /// Original task instances still to assign in this round (m - m').
     int remaining_tasks = 0;
+    /// False when nothing this round plans can be committed: the plan class
+    /// re-plans every round (not Passive) and every UP processor's buffer
+    /// is full.  Such a round's picks are discarded with the next round's
+    /// re-plan; see Scheduler::select for the opt-out it allows.
+    bool can_commit = true;
 };
 
 /// Cumulative memoization counters a scheduler may expose (heuristics
@@ -79,7 +86,16 @@ public:
     /// Chooses a processor for the next task instance among `eligible`
     /// (indices into view.procs, all in the UP state).  `nq[q]` is the
     /// number of instances already assigned to processor q in this round.
-    /// Must return one of the eligible indices.
+    /// Must return one of the eligible indices — or kNoProc, only when
+    /// `view.can_commit` is false and without drawing from `rng`.  That
+    /// return promises, for the rest of the run, that rounds which cannot
+    /// commit mean nothing to this scheduler: the engine ends the round
+    /// and from then on skips every such round (no begin_round, no select)
+    /// and elides the slots they alone kept stepped.  A scheduler whose
+    /// picks draw from `rng` must keep picking, so its draws stay in
+    /// sequence.  A wrapper that inspects its inner scheduler's choice
+    /// must pass kNoProc through.  kNoProc in a round that can commit makes
+    /// the run throw std::logic_error.
     virtual ProcId select(const SchedView& view,
                           std::span<const ProcId> eligible,
                           std::span<const int> nq, util::Rng& rng) = 0;

@@ -642,3 +642,40 @@ TEST(CampaignBuilder, RunsEndToEndThroughTheFacade) {
     const auto merged = ve::merge_shards({outcome.jsonl_path});
     EXPECT_EQ(merged.overall.instances(), 4);
 }
+
+TEST(Campaign, RejectsABadGridBeforeAnyHeartbeatOrFile) {
+    // The grid validator runs first: no directory, manifest or status.json
+    // appears, and the error is the validator's, not a worker's.
+    TempDir dir;
+    for (const bool parallel : {false, true}) {
+        ve::CampaignConfig cfg = small_campaign(dir.path() / "camp");
+        cfg.heartbeat = true;
+        cfg.sweep.p = 0;
+        if (parallel) cfg.shard_count = 2;
+        try {
+            if (parallel) {
+                (void)ve::run_parallel_campaign(cfg);
+            } else {
+                (void)ve::run_campaign(cfg);
+            }
+            ADD_FAILURE() << "p = 0 was accepted";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("grid: processors"),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_FALSE(std::filesystem::exists(dir.path() / "camp"));
+    }
+    // The builder reports the same validator's message under its own name.
+    va::ExperimentBuilder b;
+    b.heuristics({"mct"}).processors(0);
+    try {
+        (void)b.sweep_config();
+        ADD_FAILURE() << "the builder accepted p = 0";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "ExperimentBuilder: grid: processors"),
+                  std::string::npos)
+            << e.what();
+    }
+}

@@ -12,17 +12,22 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "api/registry.hpp"
 #include "api/simulation_builder.hpp"
 #include "ckpt/registry.hpp"
 #include "core/factory.hpp"
 #include "obs/registry.hpp"
+#include "obs/trace.hpp"
 #include "sim/action_trace.hpp"
 #include "sim/engine.hpp"
 #include "sim/metrics_io.hpp"
 #include "sim/timeline.hpp"
+#include "sim/trace_observer.hpp"
 #include "support/fixtures.hpp"
 #include "trace/replay.hpp"
 #include "trace/semi_markov.hpp"
@@ -289,12 +294,16 @@ TEST(EventEngine, InitialDeadStretchIsSkippedInFullByBothCores) {
     expect_same_actions(out[0].actions, out[1].actions, label);
 }
 
-TEST(EventEngine, WorkCountersFollowPresentWorkersNotFleetSize) {
-    // A sparse desktop fleet: 64 semi-Markov workers with short UP
-    // sojourns and long absences.  Each core runs twice, bare and with a
-    // metrics registry installed; the registry must not change one byte
-    // of output, and the per-run work counters it receives must show the
-    // stepping cost following the workers present, not P.
+namespace {
+
+/// A sparse desktop fleet: 64 semi-Markov workers with short UP sojourns
+/// and long absences, 12 tasks of 200 slots per iteration and no replicas,
+/// so the few UP workers often hold a full buffer while pool originals
+/// wait.  Audit mode on.
+vs::Simulation desktop_fleet(bool event_driven,
+                             const std::vector<vs::RunObserver*>& observers,
+                             vs::SchedulerClass plan_class =
+                                 vs::SchedulerClass::Dynamic) {
     using volsched::trace::SemiMarkovAvailability;
     using volsched::trace::SojournDist;
     constexpr int kProcs = 64;
@@ -311,25 +320,38 @@ TEST(EventEngine, WorkCountersFollowPresentWorkersNotFleetSize) {
     const std::vector<vm::MarkovChain> beliefs(
         kProcs, vm::MarkovChain(
                     SemiMarkovAvailability(params).equivalent_markov_matrix()));
+    std::vector<std::unique_ptr<vm::AvailabilityModel>> models;
+    for (int q = 0; q < kProcs; ++q)
+        models.push_back(std::make_unique<SemiMarkovAvailability>(params));
+    vs::EngineConfig cfg = vt::audited_config(2, 12, /*replica_cap=*/0);
+    cfg.plan_class = plan_class;
+    auto b = vs::Simulation::builder();
+    b.platform(pf)
+        .models(std::move(models))
+        .beliefs(beliefs)
+        .config(cfg)
+        .event_driven(event_driven)
+        .seed(5);
+    for (vs::RunObserver* o : observers) b.observe(o);
+    return b.build();
+}
+
+} // namespace
+
+TEST(EventEngine, WorkCountersFollowPresentWorkersNotFleetSize) {
+    // The sparse desktop fleet.  Each core runs twice, bare and with a
+    // metrics registry installed; the registry must not change one byte
+    // of output, and the per-run work counters it receives must show the
+    // stepping cost following the workers present, not P.
+    constexpr int kProcs = 64;
     struct Run {
         std::string metrics;
         vs::Timeline timeline;
         vs::ActionTrace actions;
     };
     const auto run = [&](bool event_driven, Run& out) {
-        std::vector<std::unique_ptr<vm::AvailabilityModel>> models;
-        for (int q = 0; q < kProcs; ++q)
-            models.push_back(std::make_unique<SemiMarkovAvailability>(params));
-        auto sim = vs::Simulation::builder()
-                       .platform(pf)
-                       .models(std::move(models))
-                       .beliefs(beliefs)
-                       .config(vt::audited_config(2, 12, /*replica_cap=*/0))
-                       .observe(&out.timeline)
-                       .observe(&out.actions)
-                       .event_driven(event_driven)
-                       .seed(5)
-                       .build();
+        const auto sim =
+            desktop_fleet(event_driven, {&out.timeline, &out.actions});
         const auto sched = vc::make_scheduler("emct");
         out.metrics = vs::metrics_to_json(sim.run(*sched));
     };
@@ -487,4 +509,155 @@ TEST(EventEngine, UpSlotsMatchTheRealizationOnBothCores) {
             EXPECT_GE(dead.dead_slots_skipped, 200) << core;
         }
     }
+}
+
+// -------------------------------------------------------------------------
+// Rounds that cannot commit (SchedView::can_commit) and the in-band kNoProc
+// opt-out from them.
+// -------------------------------------------------------------------------
+
+namespace {
+
+/// Forwards begin_round, select and name to `inner` and nothing else, the
+/// way a decorator written before the opt-out existed would; counts the
+/// selects of rounds that could not commit.
+class SelectOnly final : public vs::Scheduler {
+public:
+    explicit SelectOnly(vs::Scheduler& inner) : inner_(&inner) {}
+    void begin_round(const vs::SchedView& view) override {
+        inner_->begin_round(view);
+    }
+    vs::ProcId select(const vs::SchedView& view,
+                      std::span<const vs::ProcId> eligible,
+                      std::span<const int> nq, volsched::util::Rng& rng)
+        override {
+        if (!view.can_commit) ++futile_selects;
+        return inner_->select(view, eligible, nq, rng);
+    }
+    [[nodiscard]] std::string_view name() const override {
+        return inner_->name();
+    }
+
+    long long futile_selects = 0;
+
+private:
+    vs::Scheduler* inner_;
+};
+
+/// sim.rounds_skipped of one run of `heuristic` on the desktop fleet.
+long long rounds_skipped(const std::string& heuristic, bool event_driven,
+                         const std::vector<vs::RunObserver*>& observers = {}) {
+    vo::Registry registry;
+    vo::Registry::install(&registry);
+    const auto sim = desktop_fleet(event_driven, observers);
+    const auto sched = vc::make_scheduler(heuristic);
+    (void)sim.run(*sched);
+    vo::Registry::install(nullptr);
+    return registry.counter("sim.rounds_skipped").value();
+}
+
+} // namespace
+
+TEST(FutileRounds, SelectOnlyDecoratorMatchesTheBareHeuristic) {
+    // The opt-out travels through select(), so a decorator that forwards
+    // no other virtual still elides exactly what the bare heuristic does.
+    // The decorator does not forward counters(), so its run's cache fields
+    // are read from the inner scheduler.
+    for (const bool event_driven : {false, true}) {
+        const auto sim = desktop_fleet(event_driven, {});
+        const auto bare_sched = vc::make_scheduler("emct");
+        const vs::RunMetrics bare = sim.run(*bare_sched);
+        const auto inner = vc::make_scheduler("emct");
+        SelectOnly decorated(*inner);
+        vs::RunMetrics m = sim.run(decorated);
+        EXPECT_EQ(m.cache_hits, 0);
+        m.cache_hits = static_cast<long long>(inner->counters().cache_hits);
+        m.cache_misses =
+            static_cast<long long>(inner->counters().cache_misses);
+        m.cache_invalidations =
+            static_cast<long long>(inner->counters().cache_invalidations);
+        EXPECT_EQ(vs::metrics_to_json(m), vs::metrics_to_json(bare));
+        // emct saw exactly one round that could not commit: the one it
+        // opted out in.
+        EXPECT_EQ(decorated.futile_selects, 1);
+        if (event_driven) {
+            EXPECT_GT(bare.slots_elided, 0);
+        }
+    }
+}
+
+TEST(FutileRounds, NoProcInARoundThatCanCommitThrows) {
+    auto& registry = volsched::api::SchedulerRegistry::instance();
+    registry.add({"test-noproc", "returns kNoProc whenever it can commit",
+                  [](const volsched::api::SchedulerSpec&,
+                     const volsched::api::SchedulerRegistry&)
+                      -> std::unique_ptr<vs::Scheduler> {
+                      class NoProc final : public vs::Scheduler {
+                      public:
+                          vs::ProcId select(const vs::SchedView& view,
+                                            std::span<const vs::ProcId> e,
+                                            std::span<const int>,
+                                            volsched::util::Rng&) override {
+                              return view.can_commit ? vs::kNoProc : e[0];
+                          }
+                          [[nodiscard]] std::string_view name()
+                              const override {
+                              return "test-noproc";
+                          }
+                      };
+                      return std::make_unique<NoProc>();
+                  }});
+    for (const bool event_driven : {false, true}) {
+        const auto sim = desktop_fleet(event_driven, {});
+        const auto sched = vc::make_scheduler("test-noproc");
+        EXPECT_THROW((void)sim.run(*sched), std::logic_error);
+    }
+    EXPECT_TRUE(registry.erase("test-noproc"));
+}
+
+TEST(FutileRounds, PassivePlansAlwaysCanCommit) {
+    // Passive plans stick across rounds, so a round under Passive is never
+    // futile; the same fleet under Dynamic does present futile rounds.
+    for (const auto cls :
+         {vs::SchedulerClass::Passive, vs::SchedulerClass::Dynamic}) {
+        const auto sim = desktop_fleet(true, {}, cls);
+        const auto inner = vc::make_scheduler("random2w");
+        SelectOnly counted(*inner);
+        (void)sim.run(counted);
+        if (cls == vs::SchedulerClass::Passive) {
+            EXPECT_EQ(counted.futile_selects, 0);
+        } else {
+            EXPECT_GT(counted.futile_selects, 0);
+        }
+    }
+}
+
+TEST(FutileRounds, RandomFamilyKeepsSteppingFutileRounds) {
+    // random2w draws in every pick, so it never opts out: it sees many
+    // rounds that cannot commit, in both cores alike, and none is skipped.
+    long long futile[2] = {};
+    for (const bool event_driven : {false, true}) {
+        const auto sim = desktop_fleet(event_driven, {});
+        const auto inner = vc::make_scheduler("random2w");
+        SelectOnly counted(*inner);
+        (void)sim.run(counted);
+        futile[event_driven ? 1 : 0] = counted.futile_selects;
+    }
+    EXPECT_GT(futile[0], 100);
+    EXPECT_EQ(futile[0], futile[1]);
+    EXPECT_EQ(rounds_skipped("random2w", true), 0);
+}
+
+TEST(FutileRounds, RoundsSkippedCounterIsCoreAndTracerInvariant) {
+    // emct opts out and skips rounds; random never does.  The count is the
+    // same whether the slot loop steps the skipped rounds' slots or the
+    // event core elides them, and a tracer attached changes nothing.
+    const long long skipped = rounds_skipped("emct", true);
+    EXPECT_GT(skipped, 0);
+    EXPECT_EQ(rounds_skipped("emct", false), skipped);
+    vo::TraceRecorder rec;
+    vs::TraceObserver tracer(rec);
+    EXPECT_EQ(rounds_skipped("emct", true, {&tracer}), skipped);
+    EXPECT_GT(rec.size(), 0u);
+    EXPECT_EQ(rounds_skipped("random", true), 0);
 }

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <functional>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "api/campaign_builder.hpp"
@@ -277,5 +280,29 @@ TEST(Sweep, RejectsBadArgumentsBeforeAnyJob) {
     EXPECT_THROW((void)ve::run_sweep(cfg, {}), std::invalid_argument);
     EXPECT_THROW((void)ve::run_sweep(cfg, {"mct", "mtc"}),
                  std::invalid_argument);
+    // The scalar checks live in the same validator (api::ExperimentBuilder
+    // calls it too), so a raw sweep rejects them before its pool starts,
+    // not on a worker thread.
+    const auto rejects = [&](const std::function<void(ve::SweepConfig&)>& bad,
+                             const std::string& why) {
+        ve::SweepConfig c = cfg;
+        bad(c);
+        try {
+            (void)ve::run_sweep(c, {"mct"});
+            ADD_FAILURE() << why << " was accepted";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("grid: " + why),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    rejects([](ve::SweepConfig& c) { c.p = 0; }, "processors");
+    rejects([](ve::SweepConfig& c) { c.trials_per_scenario = 0; }, "trials");
+    rejects([](ve::SweepConfig& c) { c.run.max_slots = 0; }, "max_slots");
+    rejects([](ve::SweepConfig& c) { c.wmin_values = {}; }, "wmin");
+    rejects([](ve::SweepConfig& c) { c.run.replica_cap = -1; },
+            "replica_cap");
+    rejects([](ve::SweepConfig& c) { c.tdata_factor = std::nan(""); },
+            "tdata/tprog");
     EXPECT_EQ(hook_calls.load(), 0);
 }

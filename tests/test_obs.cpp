@@ -16,11 +16,14 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "api/registry.hpp"
 #include "api/simulation_builder.hpp"
 #include "ckpt/registry.hpp"
 #include "core/factory.hpp"
@@ -506,7 +509,8 @@ TEST(ShardStatus, RoundTripsThroughJson) {
     s.queue_depth = 3;
     s.emitter_lag = 5;
     s.window = 8;
-    s.state = "running";
+    s.state = "failed";
+    s.message = "job threw: \"quoted\"\nsecond line";
     s.run = {7, 4200, 900};
     s.serialize = {7, 64, 12};
     s.fsync = {2, 2048, 1500};
@@ -522,7 +526,8 @@ TEST(ShardStatus, RoundTripsThroughJson) {
     EXPECT_EQ(back->queue_depth, 3);
     EXPECT_EQ(back->emitter_lag, 5);
     EXPECT_EQ(back->window, 8);
-    EXPECT_EQ(back->state, "running");
+    EXPECT_EQ(back->state, "failed");
+    EXPECT_EQ(back->message, s.message);
     EXPECT_EQ(back->run.count, 7);
     EXPECT_EQ(back->run.total_us, 4200);
     EXPECT_EQ(back->run.max_us, 900);
@@ -578,6 +583,76 @@ TEST(ShardStatus, CampaignHeartbeatReportsCompletion) {
     EXPECT_GT(status->run.count, 0) << "no run-stage samples";
     EXPECT_GE(status->run.total_us, 0);
     EXPECT_GT(status->fsync.count, 0) << "no checkpoint flush samples";
+}
+
+TEST(ShardStatus, FailedShardSaysSoAndEmptiesItsPipeline) {
+    // A scheduler that throws partway through the grid: the shard's last
+    // heartbeat must read "failed" with the job's message, and the
+    // pipeline's occupancy (heartbeat fields and registry gauges alike)
+    // must return to zero.
+    auto& registry = volsched::api::SchedulerRegistry::instance();
+    registry.add({"test-throws", "throws from select() on its 40th call",
+                  [](const volsched::api::SchedulerSpec&,
+                     const volsched::api::SchedulerRegistry&)
+                      -> std::unique_ptr<vs::Scheduler> {
+                      class Throws final : public vs::Scheduler {
+                      public:
+                          vs::ProcId select(const vs::SchedView&,
+                                            std::span<const vs::ProcId> e,
+                                            std::span<const int>,
+                                            volsched::util::Rng&) override {
+                              if (++calls_ == 40)
+                                  throw std::runtime_error("test-throws: boom");
+                              return e[0];
+                          }
+                          [[nodiscard]] std::string_view name()
+                              const override {
+                              return "test-throws";
+                          }
+
+                      private:
+                          int calls_ = 0;
+                      };
+                      return std::make_unique<Throws>();
+                  }});
+    vt::TempDir dir;
+    ve::CampaignConfig cfg;
+    cfg.sweep.tasks_values = {3};
+    cfg.sweep.ncom_values = {2};
+    cfg.sweep.wmin_values = {1, 2};
+    cfg.sweep.scenarios_per_cell = 3;
+    cfg.sweep.trials_per_scenario = 2;
+    cfg.sweep.p = 4;
+    cfg.sweep.run.iterations = 2;
+    cfg.sweep.threads = 2;
+    cfg.heuristics = {"mct", "test-throws"};
+    cfg.directory = dir.path();
+    cfg.checkpoint_jobs = 2;
+    cfg.heartbeat = true;
+
+    vo::Registry metrics;
+    vo::Registry::install(&metrics);
+    try {
+        (void)ve::run_campaign(cfg);
+        ADD_FAILURE() << "the campaign did not throw";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("boom"), std::string::npos)
+            << e.what();
+    }
+    vo::Registry::install(nullptr);
+    EXPECT_TRUE(registry.erase("test-throws"));
+
+    const auto status = ve::read_status(dir.path());
+    ASSERT_TRUE(status.has_value()) << "heartbeat file missing";
+    EXPECT_EQ(status->state, "failed");
+    EXPECT_NE(status->message.find("test-throws: boom"), std::string::npos)
+        << status->message;
+    EXPECT_EQ(status->queue_depth, 0);
+    EXPECT_EQ(status->emitter_lag, 0);
+    EXPECT_LT(status->jobs_done, status->jobs_total);
+    EXPECT_EQ(metrics.gauge("campaign.window").value(), 0);
+    EXPECT_EQ(metrics.gauge("campaign.emitter_lag").value(), 0);
+    EXPECT_EQ(metrics.gauge("campaign.queue_depth").value(), 0);
 }
 
 TEST(ShardStatus, HeartbeatDoesNotPerturbCampaignRecords) {

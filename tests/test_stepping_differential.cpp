@@ -15,6 +15,11 @@
 ///    no restart credit, so a run that committed a replica, un-enrolled a
 ///    worker proactively or resumed from a checkpoint is outside it.  The
 ///    suite asserts that at least a quarter of the draws are validated.
+///
+/// A second, fixed regime pins the futile stretches random draws rarely
+/// reach: a large fleet with few workers UP and long tasks, where rounds
+/// that cannot commit (SchedView::can_commit) dominate and the heuristics
+/// that opt out of them let the event core elide their slots.
 
 #include <gtest/gtest.h>
 
@@ -28,11 +33,13 @@
 #include "ckpt/registry.hpp"
 #include "core/factory.hpp"
 #include "markov/gen.hpp"
+#include "obs/registry.hpp"
 #include "offline/schedule.hpp"
 #include "sim/action_trace.hpp"
 #include "sim/engine.hpp"
 #include "sim/metrics_io.hpp"
 #include "sim/timeline.hpp"
+#include "support/fixtures.hpp"
 #include "trace/replay.hpp"
 #include "trace/semi_markov.hpp"
 #include "util/rng.hpp"
@@ -45,6 +52,7 @@ namespace vo = volsched::offline;
 namespace vs = volsched::sim;
 namespace vt = volsched::trace;
 namespace vu = volsched::util;
+namespace vx = volsched::test;
 
 namespace {
 
@@ -382,4 +390,78 @@ TEST(SteppingDifferential, DrawsCoverEveryAxis) {
     // Every registered policy plus "" (no policy).
     EXPECT_EQ(policies.size(),
               vk::CheckpointRegistry::instance().names().size() + 1);
+}
+
+TEST(SteppingDifferential, FutileStretchesMatchAcrossCoresInEveryClass) {
+    // P = 32 with four mostly-UP workers and 28 mostly-DOWN ones, tasks of
+    // w >= 400 slots, no replicas: while the few UP workers hold full
+    // buffers, pool originals wait through long futile stretches.  Under
+    // audit, both cores must agree on every output in every plan class,
+    // the greedy specs must skip rounds there (except under Passive, whose
+    // rounds can always commit) and the random family must skip none.
+    constexpr int kProcs = 32;
+    vs::Platform pf;
+    pf.ncom = 2;
+    pf.t_prog = 20;
+    pf.t_data = 5;
+    std::vector<vm::MarkovChain> chains;
+    for (int q = 0; q < kProcs; ++q) {
+        pf.w.push_back(400 + 20 * (q % 5));
+        chains.push_back(q < 4 ? vx::chain3(0.998, 0.001, 0.2, 0.79, 0.2, 0.0)
+                               : vx::chain3(0.95, 0.03, 0.01, 0.94, 0.0005,
+                                            0.0005));
+    }
+    long long elided = 0;
+    for (const auto cls :
+         {vs::SchedulerClass::Dynamic, vs::SchedulerClass::Proactive,
+          vs::SchedulerClass::Passive}) {
+        for (const std::string h :
+             {"emct", "ud*", "mct", "hybrid", "thr50:emct", "random2w"}) {
+            for (const std::uint64_t seed : {3u, 4u}) {
+                const std::string label =
+                    "class " + std::to_string(static_cast<int>(cls)) + " " +
+                    h + " seed " + std::to_string(seed);
+                vs::EngineConfig cfg;
+                cfg.iterations = 1;
+                cfg.tasks_per_iteration = 12;
+                cfg.replica_cap = 0;
+                cfg.max_slots = 200'000;
+                cfg.audit = true;
+                cfg.plan_class = cls;
+                Outcome out[2];
+                long long skipped[2] = {};
+                for (int event = 0; event < 2; ++event) {
+                    vs::EngineConfig c = cfg;
+                    c.event_driven = event == 1;
+                    c.observers = {&out[event].timeline, &out[event].actions};
+                    const auto sim =
+                        vs::Simulation::from_chains(pf, chains, c, seed);
+                    const auto sched = vc::make_scheduler(h);
+                    volsched::obs::Registry registry;
+                    volsched::obs::Registry::install(&registry);
+                    try {
+                        out[event].m = sim.run(*sched);
+                    } catch (const std::exception& e) {
+                        ADD_FAILURE() << label << " threw: " << e.what();
+                    }
+                    volsched::obs::Registry::install(nullptr);
+                    skipped[event] =
+                        registry.counter("sim.rounds_skipped").value();
+                }
+                EXPECT_TRUE(out[1].m.completed) << label;
+                EXPECT_EQ(comparable_json(out[1].m), comparable_json(out[0].m))
+                    << label;
+                expect_same_timeline(out[1].timeline, out[0].timeline, label);
+                expect_same_actions(out[1].actions, out[0].actions, label);
+                EXPECT_EQ(skipped[1], skipped[0]) << label;
+                if (cls == vs::SchedulerClass::Passive || h == "random2w") {
+                    EXPECT_EQ(skipped[1], 0) << label;
+                } else {
+                    EXPECT_GT(skipped[1], 0) << label;
+                }
+                elided += out[1].m.slots_elided;
+            }
+        }
+    }
+    EXPECT_GT(elided, 0);
 }

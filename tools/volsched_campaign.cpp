@@ -516,11 +516,19 @@ int cmd_status(int argc, char** argv) {
     long long done_total = 0, jobs_total = 0;
     bool all_complete = true;
     int shard_count = 0;
+    std::vector<std::string> failures; // "<shard>: <message>"
     for (const auto& dir : dirs) {
         std::string hb_state = "-", hb_pipe = "-", hb_queue = "-",
                     hb_run = "-";
+        bool failed = false;
         if (const auto status = exp::read_status(dir)) {
             hb_state = status->state;
+            failed = status->state == "failed";
+            if (failed)
+                failures.push_back(dir.filename().string() + ": " +
+                                   (status->message.empty()
+                                        ? "no message recorded"
+                                        : status->message));
             hb_pipe = std::to_string(status->emitter_lag) + "/" +
                       std::to_string(status->window);
             hb_queue = std::to_string(status->queue_depth);
@@ -545,7 +553,10 @@ int cmd_status(int argc, char** argv) {
                            std::to_string(manifest->jobs_total),
                        std::to_string(manifest->instances_done),
                        std::to_string(manifest->jsonl_bytes),
-                       manifest->complete ? "complete" : "running", hb_state,
+                       manifest->complete ? "complete"
+                       : failed           ? "failed"
+                                          : "running",
+                       hb_state,
                        hb_pipe, hb_queue, hb_run});
     }
     if (static_cast<int>(dirs.size()) < shard_count) {
@@ -557,6 +568,8 @@ int cmd_status(int argc, char** argv) {
     }
     std::printf("%s", table.render("campaign " + cli.get_string("out"))
                           .c_str());
+    for (const std::string& failure : failures)
+        std::printf("failed shard %s\n", failure.c_str());
     if (jobs_total > 0)
         std::printf("%.1f%% of the started shards' jobs done\n",
                     100.0 * static_cast<double>(done_total) /
